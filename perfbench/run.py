@@ -3,21 +3,22 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload track-online --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload track-online --seed 1 --seconds 40 --trace 0
 
 Workloads (see perfbench/README.md for why each was chosen):
 
 * ``track-online``  -- 300-step tracking runs fed one measurement at a time
   through ``ssue.ssue_step``; per-step latency.
-* ``mc-batch``      -- ``ssue estimate --runs 4`` batches run in-process through
+* ``mc-batch``      -- ``ssue estimate --runs 2`` batches run in-process through
   ``ssue.cli.main``; Monte Carlo throughput.
 * ``diagnostics``   -- the default rank test, a KL matrix and noise-free
   reconstructions; the control that never touches the filter.
 
-Every run measures one fixed base unit of each of the three parts, so every
-end-to-end metric is defined on every workload; the workload's own part then
-repeats on inputs drawn from ``--seed`` until ``--seconds`` of it have been
-measured.  ``--trace 1`` runs only the workload's own part, with spans
+Every run measures pieces of every part, so every end-to-end metric is
+defined on every workload: first the fixed base pieces, then pieces on inputs
+drawn from ``--seed``, interleaved so that each part's share of the
+``--seconds`` measured follows the workload's shares (SHARES; the workload's
+own part gets the most).  ``--trace 1`` runs only the workload's own part, with spans
 recorded at the layer boundaries (see perfbench/spans.py), and prints the
 per-layer metrics instead.  Outputs are checked against perfbench/reference.json
 on every run.  The last line of stdout is the JSON result; the line before it
@@ -74,19 +75,26 @@ RECON_PER_PIECE = 20
 RECON_GRID = (-0.2, -0.01, 20)
 RECON_HORIZON = 10
 SETUP_REPEATS = 5
+STEP_CHUNK = 100  # steps of a tracking run per scheduled piece
+# Rough seconds per piece of each part, used only until the run has timed one.
+PIECE_SECONDS = {"step": 0.7, "mc": 4.0, "rank": 5.0, "kl": 0.5, "recon": 0.1, "setup": 0.5}
 
 # Share of a run's measured time per part.  Every workload runs every part, so
-# every end-to-end metric is defined on it; its own part gets most of the time.
-# Pieces of all parts are interleaved, so each metric's samples spread over the
-# whole run rather than one stretch of a machine whose speed drifts.
+# every end-to-end metric is defined on it; its own part gets the largest share.
+# Every part keeps a floor on every workload (at 40 s: two rank tests, the four
+# fixed CLI runs, seven KL matrices, 240 reconstructions, five set-ups and
+# three tracking runs).  Pieces of all parts are interleaved,
+# so each metric's samples spread over the whole run: a shared host's speed
+# drifts for seconds at a time, and a metric read from a few pieces in one
+# stretch of the run follows that drift.
 PARTS = ("step", "mc", "rank", "kl", "recon", "setup")
 SHARES = {
-    "track-online": {"step": 0.56, "mc": 0.14, "rank": 0.14, "kl": 0.04, "recon": 0.04,
-                     "setup": 0.08},
-    "mc-batch": {"step": 0.14, "mc": 0.56, "rank": 0.14, "kl": 0.04, "recon": 0.04,
-                 "setup": 0.08},
-    "diagnostics": {"step": 0.14, "mc": 0.14, "rank": 0.42, "kl": 0.11, "recon": 0.11,
-                    "setup": 0.08},
+    "track-online": {"step": 0.38, "mc": 0.20, "rank": 0.25, "kl": 0.08, "recon": 0.03,
+                     "setup": 0.06},
+    "mc-batch": {"step": 0.18, "mc": 0.40, "rank": 0.25, "kl": 0.08, "recon": 0.03,
+                 "setup": 0.06},
+    "diagnostics": {"step": 0.14, "mc": 0.20, "rank": 0.37, "kl": 0.15, "recon": 0.08,
+                    "setup": 0.06},
 }
 # Parts of a traced run: the workload's own layers only.
 TRACED_PARTS = {"track-online": ("step",), "mc-batch": ("mc",),
@@ -231,6 +239,7 @@ class Bench:
         self.spent = dict.fromkeys(PARTS, 0.0)
         self.step_samples: list[float] = []
         self.counted_updates = 0  # Newton counters cover the fixed inputs' updates
+        self.current_run = None  # tracking run the scheduler is part-way through
         self.mc_runs = 0
         self.mc_seconds = 0.0
         self.mc_bytes = 0
@@ -254,10 +263,13 @@ class Bench:
 
     # -- track-online ------------------------------------------------------
 
-    def step_piece(self, tracer=None, seed=None, steps=None, check=True) -> list[float]:
-        """One 300-step tracking run fed one measurement at a time (README manual loop)."""
+    def track_run(self, seed: int, tracer=None, steps=None, check=True):
+        """One 300-step tracking run fed one measurement at a time (README manual loop).
+
+        A generator: it pauses after every STEP_CHUNK steps, so the scheduler
+        can interleave other parts within a run, and returns the step times.
+        """
         ssue = self.ssue
-        seed = next(self.track_seeds) if seed is None else seed
         scenario = ssue.tracking_preset(seed=seed)
         measurements = ssue.simulate(scenario).measurements[:steps]
         model = scenario.model
@@ -265,7 +277,7 @@ class Bench:
         step = ssue.ssue_step  # looked up per run so a traced run gets the wrapper
         samples = []
         result = None
-        for y in measurements:
+        for j, y in enumerate(measurements):
             self.tally.attempted += check
             t0 = clock()
             try:
@@ -275,6 +287,8 @@ class Bench:
                 return []
             samples.append(clock() - t0)
             bank = result.bank
+            if (j + 1) % STEP_CHUNK == 0 and j + 1 < len(measurements):
+                yield
         if not check:
             return []
         msgs = check_track_run(self.ref["runs"], seed, result.identified_index,
@@ -285,6 +299,25 @@ class Bench:
         if tracer is not None and not self.counted_updates:
             self.counted_updates = len(tracer.reports)
         return samples
+
+    def step_piece(self, tracer=None, seed=None, steps=None, check=True) -> list[float]:
+        """One whole tracking run; returns its step times."""
+        seed = next(self.track_seeds) if seed is None else seed
+        run = self.track_run(seed, tracer, steps, check)
+        while True:
+            try:
+                next(run)
+            except StopIteration as stop:
+                return stop.value
+
+    def step_chunk_piece(self, tracer=None) -> None:
+        """The next STEP_CHUNK steps of the current tracking run; a new run when it ends."""
+        if self.current_run is None:
+            self.current_run = self.track_run(next(self.track_seeds), tracer)
+        try:
+            next(self.current_run)
+        except StopIteration:
+            self.current_run = None
 
     # -- mc-batch ----------------------------------------------------------
 
@@ -411,23 +444,40 @@ class Bench:
 
         Every part runs at least its base pieces (the fixed inputs: seed 42,
         the MC_FIXED_SEEDS batches, one of each diagnostic, SETUP_REPEATS
-        set-ups); pieces then go to the part furthest behind its share until
-        ``seconds`` have been spent.
+        set-ups); pieces then go to the part furthest behind its share, among
+        those whose mean piece so far fits in what is left of ``seconds``,
+        until none fits.  Base pieces still owed take precedence once they
+        need the rest of the time.
         """
         base = {"step": 1, "mc": len(MC_FIXED_SEEDS) // MC_RUNS_PER_BATCH,
                 "rank": 1, "kl": 1, "recon": 1, "setup": SETUP_REPEATS}
         done = dict.fromkeys(shares, 0)
+
+        def piece_s(p):
+            return self.spent[p] / done[p] if done[p] else PIECE_SECONDS[p]
+
         while True:
             total = sum(self.spent[p] for p in shares)
+            left = seconds - total
             owed = [p for p in shares if done[p] < base[p]]
-            if total >= seconds:
-                if not owed:
-                    break
-                part = owed[0]
+            fits = [p for p in shares if piece_s(p) <= left]
+
+            def behind(p):
+                return (shares[p] * total - self.spent[p], shares[p])
+
+            if owed and (not fits or sum((base[p] - done[p]) * piece_s(p) for p in owed) >= left):
+                part = max(owed, key=behind)
+            elif fits:
+                part = max(fits, key=behind)
+            elif self.current_run is not None:
+                part = "step"  # finish the tracking run under way, so it is checked
             else:
-                part = max(shares, key=lambda p: (shares[p] * total - self.spent[p], shares[p]))
+                break
             t0 = clock()
-            getattr(self, f"{part}_piece")(tracer)
+            if part == "step":
+                self.step_chunk_piece(tracer)
+            else:
+                getattr(self, f"{part}_piece")(tracer)
             self.spent[part] += clock() - t0
             done[part] += 1
 
@@ -510,9 +560,12 @@ def end_to_end(bench: Bench) -> tuple[dict, dict]:
                              "fraction"),
         "delta_err_median": metric(statistics.median(r["final_delta_abs_error"] for r in fixed),
                                    "1"),
-        "rank_test_s": metric(statistics.median(bench.rank_s), "s"),
-        "kl_matrix_s": metric(statistics.median(bench.kl_s), "s"),
-        "reconstruct_ms": metric(1e3 * statistics.median(bench.recon_s), "ms"),
+        # Mean time per call: on a shared host whose speed switches between a
+        # fast and a slow mode for seconds at a time, a median of a few samples
+        # jumps between the modes while the mean moves smoothly.
+        "rank_test_s": metric(statistics.fmean(bench.rank_s), "s"),
+        "kl_matrix_s": metric(statistics.fmean(bench.kl_s), "s"),
+        "reconstruct_ms": metric(1e3 * statistics.fmean(bench.recon_s), "ms"),
         "peak_rss_mb": metric(peak_rss_mb(), "MB"),
     }
     samples = {

@@ -49,6 +49,12 @@ def main() -> int:
         b = bench(wrong(lambda r: r["runs"]["42"]["mu"].__setitem__(1, 0.999)))
         b.step_piece(seed=run.TRACK_FIRST_SEED)
         expect("track-online, final mu of the true location set to 0.999", b.tally.failed, True)
+        # The same run cut into the scheduler's 100-step pieces (seed 42 comes first).
+        b = bench(wrong(lambda r: r["runs"]["42"]["mu"].__setitem__(1, 0.999)))
+        b.step_chunk_piece()
+        while b.current_run is not None:
+            b.step_chunk_piece()
+        expect("track-online in pieces, final mu set to 0.999", b.tally.failed, True)
         base = ref["runs"]["42"]
         for label, change in (("identified index wrong", {"identified": base["identified"] + 1}),
                               ("delta_hat off by 1e-5", {"delta_hat": base["delta_hat"] + 1e-5})):
