@@ -36,10 +36,13 @@ class StackedOutputModel:
 def linearized_C(model: SystemModel, x_ref=None) -> np.ndarray:
     """Measurement matrix used by the stacked-output statistics.
 
-    For a linear map this is just its constant Jacobian; a nonlinear map is
-    linearized at ``x_ref`` (required in that case to make the choice explicit).
+    For a map that the model's ``measurement_spec`` declares linear this is
+    just its constant Jacobian; any other map is linearized at ``x_ref``,
+    which is then required to make the choice explicit.
     """
     if x_ref is None:
+        if (model.measurement_spec or {}).get("type") != "linear":
+            raise ContractError("linearizing a measurement map not declared linear needs x_ref")
         x_ref = np.zeros(model.n)
     return np.atleast_2d(np.asarray(model.map.jacobian(np.asarray(x_ref, dtype=float))))
 

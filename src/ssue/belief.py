@@ -33,8 +33,8 @@ def ensure_spd(M: np.ndarray, context: str = "covariance") -> np.ndarray:
     the documented tolerance.
     """
     M = symmetrize(np.asarray(M, dtype=float))
-    eig_min = float(np.linalg.eigvalsh(M)[0])
-    eig_max = float(np.linalg.eigvalsh(M)[-1]) if M.shape[0] else 0.0
+    eigs = np.linalg.eigvalsh(M)
+    eig_min, eig_max = float(eigs[0]), float(eigs[-1])
     scale = max(abs(eig_max), 1.0)
     if eig_min < -PSD_REL_TOL * scale:
         raise NumericalFailureError(

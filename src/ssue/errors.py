@@ -10,20 +10,21 @@ class ConfigurationError(ValueError):
     """A model, scenario or config file is structurally invalid."""
 
 
-class ContractError(ValueError):
-    """An input violates a documented precondition (e.g. weights off the simplex)."""
-
-
-class NumericalFailureError(RuntimeError):
-    """A linear-algebra step failed even after the documented jitter policy.
-
-    Carries a ``context`` dict (hypothesis index, step number, matrix
-    diagnostics) to make failures inside long runs traceable.
-    """
+class _WithContext:
+    """Carries a ``context`` dict (hypothesis index, step number, matrix
+    diagnostics) to make failures inside long runs traceable."""
 
     def __init__(self, message, context=None):
         super().__init__(message)
         self.context = dict(context or {})
+
+
+class ContractError(_WithContext, ValueError):
+    """An input violates a documented precondition (e.g. weights off the simplex)."""
+
+
+class NumericalFailureError(_WithContext, RuntimeError):
+    """A linear-algebra step failed even after the documented jitter policy."""
 
 
 class SingularGradientError(NumericalFailureError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .belief import (
     FusedEstimate,
@@ -116,6 +115,21 @@ def _cholesky_or_none(M: np.ndarray):
         return None
 
 
+def _inverse_cholesky(M: np.ndarray) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of M, so that M^{-1} = L^{-T} L^{-1}."""
+    return np.linalg.inv(np.linalg.cholesky(M))
+
+
+def _measurement_vector(y, p: int) -> np.ndarray:
+    """y as a flat float vector of length p, rejecting any NaN or inf entry."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if y.shape != (p,):
+        raise ContractError(f"measurement must have shape ({p},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ContractError(f"measurement has non-finite entries: {y}")
+    return y
+
+
 def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarray,
             q_jitter: float = 1e-9) -> JointBelief:
     """Propagate a joint belief one step through x+ = (A + delta * L) x + w.
@@ -167,13 +181,13 @@ def _fd_hessians(measurement_map: MeasurementMap, x: np.ndarray) -> np.ndarray:
     return H
 
 
-def _second_order_term(measurement_map, x, y, LR, n1):
-    """S = sum_j r_j Hess(r_j): curvature of the measurement residual block."""
+def _second_order_term(measurement_map, x, w, n1):
+    """S = sum_j r_j Hess(r_j): curvature of the measurement residual block,
+    given ``w = R^{-1} (y - h(x))``."""
     if measurement_map.hessian is not None:
         hess = np.asarray(measurement_map.hessian(x), dtype=float)
     else:
         hess = _fd_hessians(measurement_map, x)
-    w = cho_solve((LR, True), y - measurement_map.evaluate(x))
     S = np.zeros((n1, n1))
     S[1:, 1:] = -np.einsum("m,mij->ij", w, hess)
     return S
@@ -207,38 +221,33 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     the inverse Fisher information [H + P_pred^{-1}]^{-1} with
     H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
     p = measurement_map.output_dim
-    if y.shape != (p,):
-        raise ContractError(f"measurement must have shape ({p},), got {y.shape}")
+    y = _measurement_vector(y, p)
     n1 = pred.n + 1
     xi_pred = pred.xi_mean
-    P_pred = ensure_spd(assemble_joint_covariance(pred), "predicted joint covariance")
-    LP = np.linalg.cholesky(P_pred)
-    LR = np.linalg.cholesky(ensure_spd(R, "measurement noise covariance"))
-    LP_inv = solve_triangular(LP, np.eye(n1), lower=True)
+    LP_inv = _inverse_cholesky(ensure_spd(assemble_joint_covariance(pred),
+                                          "predicted joint covariance"))
+    LR_inv = _inverse_cholesky(ensure_spd(R, "measurement noise covariance"))
 
     def residual(xi):
-        r_meas = solve_triangular(LR, y - measurement_map.evaluate(xi[1:]), lower=True)
-        r_prior = solve_triangular(LP, xi - xi_pred, lower=True)
-        return np.concatenate([r_meas, r_prior])
+        return np.concatenate([LR_inv @ (y - measurement_map.evaluate(xi[1:])),
+                               LP_inv @ (xi - xi_pred)])
 
     xi = xi_pred.copy()
     r = residual(xi)
     costs = [float(r @ r)]
     iterations = 0
     converged = False
+    # Stacked Jacobian of the residual: [0, -LR^{-1} C] over the constant LP^{-1}.
+    J = np.zeros((p + n1, n1))
+    J[p:] = LP_inv
 
     for _ in range(opts.max_iterations):
-        C = measurement_map.jacobian(xi[1:])
-        J = np.vstack([
-            np.hstack([np.zeros((p, 1)), -solve_triangular(LR, C, lower=True)]),
-            LP_inv,
-        ])
+        J[:p, 1:] = -(LR_inv @ measurement_map.jacobian(xi[1:]))
         g = J.T @ r
         N = J.T @ J
         if opts.mode == "full_newton":
-            N = N + _second_order_term(measurement_map, xi[1:], y, LR, n1)
+            N = N + _second_order_term(measurement_map, xi[1:], LR_inv.T @ r[:p], n1)
         d = _solve_step(N, g)
 
         if opts.line_search == "none":
@@ -265,17 +274,18 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
             converged = True
             break
 
-    C = measurement_map.jacobian(xi[1:])
-    H = np.zeros((n1, n1))
-    H[1:, 1:] = C.T @ cho_solve((LR, True), C)
-    info = symmetrize(H + cho_solve((LP, True), np.eye(n1)))
+    W = LR_inv @ measurement_map.jacobian(xi[1:])
+    info = LP_inv.T @ LP_inv
+    info[1:, 1:] += W.T @ W
+    info = symmetrize(info)
     L_info = _cholesky_or_none(info)
     if L_info is None:
         L_info = _cholesky_or_none(info + NORMAL_EQUATION_JITTER * np.eye(n1))
     if L_info is None:
         raise NumericalFailureError("posterior information matrix is not positive definite",
                                     context={"eig_min": float(np.linalg.eigvalsh(info)[0])})
-    P_post = symmetrize(cho_solve((L_info, True), np.eye(n1)))
+    L_info_inv = np.linalg.inv(L_info)
+    P_post = symmetrize(L_info_inv.T @ L_info_inv)
 
     report = UpdateReport(
         iterations_used=iterations,
@@ -293,13 +303,13 @@ def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: Measuremen
     Gaussian with mean h(x_pred) and covariance C P^x C^T + R, with C the
     measurement Jacobian at the predicted state mean.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _measurement_vector(y, measurement_map.output_dim)
     C = measurement_map.jacobian(pred.x_mean)
     nu = y - measurement_map.evaluate(pred.x_mean)
     Gamma = ensure_spd(C @ pred.p_x @ C.T + np.asarray(R, dtype=float),
                        "innovation covariance")
     L = np.linalg.cholesky(Gamma)
-    z = solve_triangular(L, nu, lower=True)
+    z = np.linalg.solve(L, nu)
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -0.5 * (y.shape[0] * np.log(2.0 * np.pi) + log_det + float(z @ z))
 
@@ -355,6 +365,12 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
     """
     if bank.M != model.M:
         raise ContractError(f"bank has {bank.M} hypotheses, model has {model.M} locations")
+    try:
+        y = _measurement_vector(y, model.map.output_dim)
+    except ContractError as exc:
+        if step is not None:
+            exc.context.setdefault("step", step)
+        raise
     posteriors = []
     log_lams = []
     reports = []
@@ -391,12 +407,13 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
 def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """Extended Kalman filter step on the nominal model (perturbation ignored)."""
     mean = np.asarray(mean, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = _measurement_vector(y, model.map.output_dim)
     m_pred = model.A @ mean
     P_pred = symmetrize(model.A @ cov @ model.A.T + model.Q)
     C = model.map.jacobian(m_pred)
-    S = ensure_spd(C @ P_pred @ C.T + model.R, "EKF innovation covariance")
-    K = P_pred @ C.T @ cho_solve((np.linalg.cholesky(S), True), np.eye(S.shape[0]))
+    LS_inv = _inverse_cholesky(ensure_spd(C @ P_pred @ C.T + model.R,
+                                          "EKF innovation covariance"))
+    K = P_pred @ (LS_inv @ C).T @ LS_inv
     mean_post = m_pred + K @ (y - model.map.evaluate(m_pred))
     cov_post = symmetrize((np.eye(mean.shape[0]) - K @ C) @ P_pred)
     return mean_post, cov_post

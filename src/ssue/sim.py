@@ -395,7 +395,21 @@ def load_record(directory) -> RunRecord:
         path = directory / name
         if not path.exists():
             return None
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"{len(row)} cells, header has {len(header)}")
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ConfigurationError(
+                        f"malformed {path}: line {reader.line_num}: {exc}") from exc
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
         return data[:, 1:]  # drop the step column
 
     truth = read_csv("truth.csv")

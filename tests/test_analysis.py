@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +12,7 @@ from ssue import (
     kl_separation,
     linearized_C,
     loglik_ratio_trajectory,
+    model_from_json,
     output_covariance,
     stacked_input_matrix,
 )
@@ -56,6 +59,31 @@ class TestStackedInputMatrix:
     def test_k0_rejected(self):
         with pytest.raises(ContractError):
             stacked_input_matrix(0.0, LocationMatrix(np.eye(1)), np.eye(1), np.eye(1), 0)
+
+
+class TestLinearizedC:
+    def test_nonlinear_map_needs_x_ref(self, tracking_scenario):
+        model = tracking_scenario.model
+        with pytest.raises(ContractError, match="x_ref"):
+            linearized_C(model)
+        with pytest.raises(ContractError, match="x_ref"):
+            output_covariance(-0.05, model.locations[1], model, 2)
+        x_ref = tracking_scenario.x0_truth
+        npt.assert_array_equal(linearized_C(model, x_ref), model.map.jacobian(x_ref))
+
+    def test_linear_map_needs_no_x_ref(self):
+        C = [[1.0, 0.0], [0.5, 2.0]]
+        model = model_from_json(json.dumps({
+            "A": [[1.0, 0.1], [0.0, 1.0]],
+            "locations": [[[1, 0], [0, 0]]],
+            "delta_domain": [[-0.1, 0.1]],
+            "Q": [[0.01, 0.0], [0.0, 0.01]],
+            "R": [[1.0, 0.0], [0.0, 1.0]],
+            "P0": [[1.0, 0.0], [0.0, 1.0]],
+            "measurement": {"type": "linear", "C": C},
+        }))
+        npt.assert_array_equal(linearized_C(model), C)
+        assert output_covariance(0.05, model.locations[0], model, 2).Sigma_k.shape == (6, 6)
 
 
 class TestOutputCovariance:

@@ -103,6 +103,22 @@ class TestEstimateCommand:
         est_meas = (tmp_path / "est" / "measurements.csv").read_text()
         assert sim_meas == est_meas
 
+    def test_malformed_input_record_exits_2(self, tmp_path, capsys):
+        cfg = preset_config(tmp_path, out="sim", seed=11)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "sim" / "measurements.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = "1.2.3"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        cfg2 = preset_config(tmp_path, out="est", seed=11)
+        capsys.readouterr()
+        assert main(["estimate", "--config", cfg2, "--input", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert "measurements.csv" in err and "line 4" in err
+        assert "Traceback" not in err
+
     def test_seed_override_wins(self, tmp_path):
         cfg = preset_config(tmp_path, seed=5, steps=10)
         assert main(["estimate", "--config", cfg, "--seed", "99",

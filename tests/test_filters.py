@@ -361,6 +361,33 @@ class TestSsueStep:
                 assert np.all(np.diff(rep.cost_trajectory) <= 1e-12)
 
 
+class TestNonFiniteMeasurement:
+    """NaN/inf measurements are contract violations, not evidence: they must be
+    rejected before they reach the factorizations or the weight update."""
+
+    @pytest.fixture(params=[np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def bad_y(self, request, tracking_scenario):
+        y = tracking_scenario.model.map.evaluate(tracking_scenario.x0_truth)
+        y[1] = request.param
+        return y
+
+    def test_ssue_step_reports_step(self, bad_y, tracking_scenario):
+        model = tracking_scenario.model
+        with pytest.raises(ContractError, match="non-finite") as info:
+            ssue_step(initial_bank(model), bad_y, model, step=7)
+        assert info.value.context["step"] == 7
+
+    def test_update_likelihood_and_ekf_reject(self, bad_y, tracking_scenario):
+        model = tracking_scenario.model
+        pred = initial_bank(model).beliefs[0]
+        with pytest.raises(ContractError, match="non-finite"):
+            newton_update(pred, bad_y, model.map, model.R)
+        with pytest.raises(ContractError, match="non-finite"):
+            log_likelihood(pred, bad_y, model.map, model.R)
+        with pytest.raises(ContractError, match="non-finite"):
+            ekf_step(np.zeros(model.n), model.P0, bad_y, model)
+
+
 class TestInitialBank:
     def test_midpoint_and_halfwidth(self, tracking_scenario):
         bank = initial_bank(tracking_scenario.model)

@@ -6,6 +6,7 @@ import pytest
 
 import ssue
 from ssue import (
+    ConfigurationError,
     ContractError,
     LocationSet,
     NumericalFailureError,
@@ -192,6 +193,18 @@ class TestRecordPersistence:
         b = ssue.save_record(run_estimation(scn), tmp_path / "b")
         for name in ("truth.csv", "measurements.csv", "estimates.csv", "weights.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("bad_cell", ["abc", "", "1.0,2.0"])
+    def test_malformed_cell_is_configuration_error(self, tmp_path, bad_cell):
+        out = ssue.save_record(ssue.simulate(tracking_preset(seed=8, steps=5)), tmp_path / "run")
+        path = out / "truth.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = bad_cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=r"truth\.csv: line 3"):
+            ssue.load_record(out)
 
     def test_missing_directory_is_contract_error(self, tmp_path):
         with pytest.raises(ContractError):
