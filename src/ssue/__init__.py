@@ -16,11 +16,8 @@ from .analysis import (
     stacked_input_matrix,
 )
 from .belief import (
-    FusedEstimate,
     HypothesisBank,
     JointBelief,
-    assemble_joint_covariance,
-    belief_from_joint,
     fuse,
     identify_location,
 )

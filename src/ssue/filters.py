@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .belief import (
-    FusedEstimate,
     HypothesisBank,
     JointBelief,
-    assemble_joint_covariance,
-    belief_from_joint,
     ensure_spd,
     fuse,
     identify_location,
@@ -85,7 +82,7 @@ class StepResult:
     """Output of one full filter step."""
 
     bank: HypothesisBank
-    fused: FusedEstimate
+    fused: JointBelief
     identified_index: int
     lambdas: np.ndarray
     log_lambdas: np.ndarray
@@ -97,13 +94,10 @@ def initial_bank(model: SystemModel) -> HypothesisBank:
     half-width as standard deviation, state at zero with covariance P0."""
     lo, hi = model.domain.hull()
     half = 0.5 * (hi - lo)
-    belief = JointBelief(
-        delta_mean=0.5 * (lo + hi),
-        x_mean=np.zeros(model.n),
-        p_delta=max(half * half, 1e-12),
-        p_delta_x=np.zeros(model.n),
-        p_x=model.P0.copy(),
-    )
+    xi_cov = np.zeros((model.n + 1, model.n + 1))
+    xi_cov[0, 0] = max(half * half, 1e-12)
+    xi_cov[1:, 1:] = model.P0
+    belief = JointBelief(np.concatenate(([0.5 * (lo + hi)], np.zeros(model.n))), xi_cov)
     weights = np.full(model.M, 1.0 / model.M)
     return HypothesisBank(beliefs=(belief,) * model.M, weights=weights)
 
@@ -134,9 +128,9 @@ def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarr
             q_jitter: float = 1e-9) -> JointBelief:
     """Propagate a joint belief one step through x+ = (A + delta * L) x + w.
 
-    The perturbation mean/variance are carried over unchanged; the state block
-    is pushed through the Jacobian F = [L x, A + delta L] of the process map
-    with respect to [delta; x].
+    The joint covariance is pushed through the Jacobian
+    F = [[1, 0], [L x, A + delta L]] of [delta; x] -> [delta; x+], so the
+    perturbation mean and variance carry over unchanged.
     """
     n = belief.n
     A = np.asarray(A, dtype=float)
@@ -147,22 +141,15 @@ def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarr
         Q = Q + q_jitter * np.eye(n)
 
     A_pert = A + belief.delta_mean * loc.entries
-    x_next = A_pert @ belief.x_mean
-    F = np.empty((n, n + 1))
-    F[:, 0] = loc.entries @ belief.x_mean
-    F[:, 1:] = A_pert
+    F = np.zeros((n + 1, n + 1))
+    F[0, 0] = 1.0
+    F[1:, 0] = loc.entries @ belief.x_mean
+    F[1:, 1:] = A_pert
 
-    P_joint = assemble_joint_covariance(belief)
-    p_x = F @ P_joint @ F.T + Q
-    p_dx = np.concatenate(([belief.p_delta], belief.p_delta_x)) @ F.T
-
-    predicted = np.empty((n + 1, n + 1))
-    predicted[0, 0] = belief.p_delta
-    predicted[0, 1:] = p_dx
-    predicted[1:, 0] = p_dx
-    predicted[1:, 1:] = p_x
+    predicted = F @ belief.xi_cov @ F.T
+    predicted[1:, 1:] += Q
     predicted = ensure_spd(predicted, "predicted joint covariance")
-    return belief_from_joint(np.concatenate(([belief.delta_mean], x_next)), predicted)
+    return JointBelief(np.concatenate(([belief.delta_mean], A_pert @ belief.x_mean)), predicted)
 
 
 def _fd_hessians(measurement_map: MeasurementMap, x: np.ndarray) -> np.ndarray:
@@ -225,8 +212,7 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     y = _measurement_vector(y, p)
     n1 = pred.n + 1
     xi_pred = pred.xi_mean
-    LP_inv = _inverse_cholesky(ensure_spd(assemble_joint_covariance(pred),
-                                          "predicted joint covariance"))
+    LP_inv = _inverse_cholesky(ensure_spd(pred.xi_cov, "predicted joint covariance"))
     LR_inv = _inverse_cholesky(ensure_spd(R, "measurement noise covariance"))
 
     def residual(xi):
@@ -285,7 +271,7 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
         raise NumericalFailureError("posterior information matrix is not positive definite",
                                     context={"eig_min": float(np.linalg.eigvalsh(info)[0])})
     L_info_inv = np.linalg.inv(L_info)
-    P_post = symmetrize(L_info_inv.T @ L_info_inv)
+    P_post = L_info_inv.T @ L_info_inv
 
     report = UpdateReport(
         iterations_used=iterations,
@@ -293,7 +279,7 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
         cost_trajectory=tuple(costs),
         converged=converged,
     )
-    return belief_from_joint(xi, P_post), report
+    return JointBelief(xi, P_post), report
 
 
 def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,

@@ -183,7 +183,7 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
         x = np.asarray(x, dtype=float)
         if x.shape != (state_dim,):
             raise ConfigurationError(f"state must have shape ({state_dim},), got {x.shape}")
-        d = np.stack([x[ix] - sensors[:, 0], x[iy] - sensors[:, 1]], axis=1)
+        d = x[[ix, iy]] - sensors
         return d, np.hypot(d[:, 0], d[:, 1])
 
     def evaluate(x):

@@ -15,10 +15,9 @@ import ssue
 from ssue import (
     DeltaGrid,
     HypothesisBank,
+    JointBelief,
     LocationMatrix,
     NewtonOptions,
-    assemble_joint_covariance,
-    belief_from_joint,
     fuse,
     initial_bank,
     kl_separation,
@@ -63,7 +62,7 @@ def test_criterion_1_kalman_oracle_equivalence():
     Q = 0.1 * (W @ W.T) + 0.05 * np.eye(n)
     R = np.diag(rng.uniform(0.5, 2.0, p))
 
-    belief = belief_from_joint(
+    belief = JointBelief(
         np.concatenate([[-0.05], rng.normal(size=n)]),
         np.diag(np.concatenate([[0.01], np.ones(n)])),
     )
@@ -73,7 +72,7 @@ def test_criterion_1_kalman_oracle_equivalence():
         y = C @ pred.x_mean + rng.normal(size=p)
         post, _ = newton_update(pred, y, mmap, R)
 
-        P_pred = assemble_joint_covariance(pred)
+        P_pred = pred.xi_cov
         S = C_aug @ P_pred @ C_aug.T + R
         K = P_pred @ C_aug.T @ np.linalg.inv(S)
         xi_ref = pred.xi_mean + K @ (y - C_aug @ pred.xi_mean)
@@ -81,7 +80,7 @@ def test_criterion_1_kalman_oracle_equivalence():
         P_ref = 0.5 * (P_ref + P_ref.T)
 
         worst_mean = max(worst_mean, rel_err(post.xi_mean, xi_ref))
-        worst_cov = max(worst_cov, rel_err(assemble_joint_covariance(post), P_ref))
+        worst_cov = max(worst_cov, rel_err(post.xi_cov, P_ref))
         belief = post
     elapsed = time.perf_counter() - t0
     report(1, worst_mean <= 1e-8 and worst_cov <= 1e-8 and elapsed < 1.0,
@@ -107,7 +106,7 @@ def test_criterion_2_map_cost_oracle():
         W = rng.normal(size=(5, 5))
         P_pred = W @ W.T + 5 * np.eye(5)
         xi_pred = np.concatenate([[rng.uniform(-0.15, -0.05)], rng.normal(size=4) * 3])
-        pred = belief_from_joint(xi_pred, P_pred)
+        pred = JointBelief(xi_pred, P_pred)
         y = model.map.evaluate(pred.x_mean + rng.normal(size=4)) + 0.5 * rng.normal(size=3)
         post, _ = newton_update(pred, y, model.map, model.R, opts)
         res = minimize(cost, xi_pred, args=(xi_pred, P_pred, y), method="Nelder-Mead",
@@ -143,7 +142,7 @@ def test_criterion_3_fusion_moments():
         w = rng.uniform(0.5, 2.0, m_comp)
         w = w / w.sum()
         bank = HypothesisBank(
-            beliefs=tuple(belief_from_joint(m, c) for m, c in zip(means, covs)),
+            beliefs=tuple(JointBelief(m, c) for m, c in zip(means, covs)),
             weights=w)
         fused = fuse(bank)
         mean_ref, cov_ref = exact_moments(means, covs, w)
@@ -158,7 +157,7 @@ def test_criterion_3_fusion_moments():
         covs.append(scale * (W @ W.T + np.eye(3)))
     w = np.array([0.3, 0.7])
     bank = HypothesisBank(
-        beliefs=tuple(belief_from_joint(m, c) for m, c in zip(means, covs)), weights=w)
+        beliefs=tuple(JointBelief(m, c) for m, c in zip(means, covs)), weights=w)
     fused = fuse(bank)
     n_samples = 1_000_000
     counts = rng.multinomial(n_samples, w)
@@ -403,7 +402,7 @@ def test_criterion_8_structural_invariants():
         simplex_ok &= bool(abs(bank.weights.sum() - 1.0) <= 1e-12
                            and np.all(bank.weights >= 0.0))
         for b in bank.beliefs:
-            P = assemble_joint_covariance(b)
+            P = b.xi_cov
             eig = np.linalg.eigvalsh(P)
             spd_ok &= bool(np.array_equal(P, P.T)
                            and eig[0] > -1e-10 * max(eig[-1], 1.0))

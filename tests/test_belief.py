@@ -4,25 +4,22 @@ import pytest
 
 from ssue import (
     ContractError,
-    FusedEstimate,
     HypothesisBank,
     JointBelief,
-    assemble_joint_covariance,
-    belief_from_joint,
+    NumericalFailureError,
     fuse,
     identify_location,
 )
+from ssue.belief import PD_JITTER, PSD_REL_TOL, ensure_spd
 
 
 def make_belief(delta=0.0, x=(0.0,), p_delta=1.0, p_dx=None, p_x=None):
     n = len(x)
-    return JointBelief(
-        delta_mean=delta,
-        x_mean=np.asarray(x, dtype=float),
-        p_delta=p_delta,
-        p_delta_x=np.zeros(n) if p_dx is None else np.asarray(p_dx, dtype=float),
-        p_x=np.eye(n) if p_x is None else np.asarray(p_x, dtype=float),
-    )
+    cov = np.zeros((n + 1, n + 1))
+    cov[0, 0] = p_delta
+    cov[0, 1:] = cov[1:, 0] = np.zeros(n) if p_dx is None else p_dx
+    cov[1:, 1:] = np.eye(n) if p_x is None else p_x
+    return JointBelief(np.concatenate(([delta], np.asarray(x, dtype=float))), cov)
 
 
 def mixture_moments(means, covs, weights):
@@ -38,24 +35,24 @@ def mixture_moments(means, covs, weights):
 class TestAssemble:
     def test_identity_blocks(self):
         b = make_belief()
-        npt.assert_array_equal(assemble_joint_covariance(b), np.eye(2))
+        npt.assert_array_equal(b.xi_cov, np.eye(2))
 
     def test_block_layout(self):
         b = make_belief(p_delta=2.0, p_dx=[0.5], p_x=[[3.0]])
-        npt.assert_array_equal(assemble_joint_covariance(b), [[2.0, 0.5], [0.5, 3.0]])
+        npt.assert_array_equal(b.xi_cov, [[2.0, 0.5], [0.5, 3.0]])
 
     def test_round_trip_exact(self, rng):
         A = rng.normal(size=(4, 4))
         P = A @ A.T + 4 * np.eye(4)
         xi = rng.normal(size=4)
-        b = belief_from_joint(xi, P)
-        npt.assert_array_equal(assemble_joint_covariance(b), 0.5 * (P + P.T))
+        b = JointBelief(xi, P)
+        npt.assert_array_equal(b.xi_cov, 0.5 * (P + P.T))
         npt.assert_array_equal(b.xi_mean, xi)
 
     def test_transpose_exactly_symmetric(self, rng):
         b = make_belief(x=(1.0, -2.0, 0.5), p_x=np.diag([1.0, 2.0, 3.0]),
                         p_dx=rng.normal(size=3))
-        P = assemble_joint_covariance(b)
+        P = b.xi_cov
         npt.assert_array_equal(P, P.T)
 
     def test_nonpositive_p_delta_rejected(self):
@@ -69,14 +66,14 @@ class TestFuse:
         bank = HypothesisBank(beliefs=(b,), weights=np.array([1.0]))
         fused = fuse(bank)
         npt.assert_array_equal(fused.xi_mean, b.xi_mean)
-        npt.assert_array_equal(fused.xi_cov, assemble_joint_covariance(b))
+        npt.assert_array_equal(fused.xi_cov, b.xi_cov)
 
     def test_identical_components_zero_spread(self):
         b = make_belief(delta=0.2, x=(1.0,), p_x=[[4.0]])
         bank = HypothesisBank(beliefs=(b, b), weights=np.array([0.5, 0.5]))
         fused = fuse(bank)
         npt.assert_allclose(fused.xi_mean, b.xi_mean, rtol=0, atol=1e-15)
-        npt.assert_allclose(fused.xi_cov, assemble_joint_covariance(b), rtol=0, atol=1e-15)
+        npt.assert_allclose(fused.xi_cov, b.xi_cov, rtol=0, atol=1e-15)
 
     def test_scalar_two_component_hand_case(self):
         # means 0 and 2 (in the delta slot), unit variances, equal weights:
@@ -97,19 +94,19 @@ class TestFuse:
         bank = HypothesisBank(beliefs=beliefs, weights=np.array([0.0, 1.0, 0.0]))
         fused = fuse(bank)
         npt.assert_array_equal(fused.xi_mean, beliefs[1].xi_mean)
-        npt.assert_array_equal(fused.xi_cov, assemble_joint_covariance(beliefs[1]))
+        npt.assert_array_equal(fused.xi_cov, beliefs[1].xi_cov)
 
     def test_matches_exact_mixture_moment_oracle(self, rng):
         beliefs = []
         for _ in range(3):
             W = rng.normal(size=(3, 3))
-            beliefs.append(belief_from_joint(rng.normal(size=3), W @ W.T + np.eye(3)))
+            beliefs.append(JointBelief(rng.normal(size=3), W @ W.T + np.eye(3)))
         w = rng.uniform(0.5, 2.0, 3)
         w = w / w.sum()
         bank = HypothesisBank(beliefs=tuple(beliefs), weights=w)
         fused = fuse(bank)
         mean, cov = mixture_moments([b.xi_mean for b in beliefs],
-                                    [assemble_joint_covariance(b) for b in beliefs], w)
+                                    [b.xi_cov for b in beliefs], w)
         npt.assert_allclose(fused.xi_mean, mean, rtol=0, atol=1e-12)
         npt.assert_allclose(fused.xi_cov, cov, rtol=0, atol=1e-12)
 
@@ -122,7 +119,7 @@ class TestFuse:
             covs.append(scale * (W @ W.T + np.eye(3)))
         w = np.array([0.3, 0.7])
         bank = HypothesisBank(
-            beliefs=tuple(belief_from_joint(m, c) for m, c in zip(means, covs)),
+            beliefs=tuple(JointBelief(m, c) for m, c in zip(means, covs)),
             weights=w,
         )
         fused = fuse(bank)
@@ -172,6 +169,68 @@ class TestIdentifyLocation:
             assert identify_location(bank) == identify_location(scaled_bank)
 
 
-def test_fused_estimate_symmetrizes():
-    f = FusedEstimate(xi_mean=np.zeros(2), xi_cov=np.array([[1.0, 1e-14], [0.0, 1.0]]))
-    npt.assert_array_equal(f.xi_cov, f.xi_cov.T)
+def _spd(n, seed=3):
+    W = np.random.default_rng(seed).normal(size=(n, n))
+    return W @ W.T + n * np.eye(n)
+
+
+class TestJointBeliefContract:
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(3), np.eye(2)),
+        (np.zeros(2), np.eye(3)),
+        (np.zeros(3), np.zeros((3, 2))),
+        (np.zeros(0), np.zeros((0, 0))),
+    ], ids=["cov_too_small", "cov_too_large", "cov_not_square", "empty"])
+    def test_shape_mismatch_is_contract_error(self, mean, cov):
+        with pytest.raises(ContractError):
+            JointBelief(mean, cov)
+
+    @pytest.mark.parametrize("attr", ["xi_cov", "p_x", "x_mean"])
+    def test_arrays_are_read_only(self, attr):
+        b = JointBelief(np.arange(4.0), _spd(4))
+        with pytest.raises(ValueError):
+            getattr(b, attr)[...] = 0.0
+
+    def test_does_not_alias_caller_arrays(self):
+        mean, cov = np.arange(4.0), _spd(4)
+        b = JointBelief(mean, cov)
+        mean[:] = -1.0
+        cov[:] = -1.0
+        npt.assert_array_equal(b.xi_mean, np.arange(4.0))
+        npt.assert_array_equal(b.xi_cov, _spd(4))
+
+    @pytest.mark.parametrize("mean, cov", [
+        (np.arange(4.0), _spd(4)),
+        (np.zeros(2), np.array([[1.0, 1e-14], [0.0, 1.0]])),
+    ], ids=["spd", "asymmetric"])
+    def test_blocks_are_slices_of_symmetrized_covariance(self, mean, cov):
+        b = JointBelief(mean, cov)
+        npt.assert_array_equal(b.xi_cov, b.xi_cov.T)
+        npt.assert_array_equal(b.xi_cov, 0.5 * (cov + cov.T))
+        assert b.n == mean.shape[0] - 1
+        assert b.delta_mean == b.xi_mean[0]
+        npt.assert_array_equal(b.x_mean, b.xi_mean[1:])
+        assert b.p_delta == b.xi_cov[0, 0]
+        npt.assert_array_equal(b.p_delta_x, b.xi_cov[0, 1:])
+        npt.assert_array_equal(b.p_delta_x, b.xi_cov[1:, 0])
+        npt.assert_array_equal(b.p_x, b.xi_cov[1:, 1:])
+
+
+class TestEnsureSpd:
+    def test_pd_is_symmetrized_without_jitter(self):
+        M = _spd(3)
+        M[0, 2] += 1e-13
+        out = ensure_spd(M)
+        npt.assert_array_equal(out, 0.5 * (M + M.T))
+
+    @pytest.mark.parametrize("eig_min", [0.0, -0.5 * PSD_REL_TOL], ids=["singular", "within_tol"])
+    def test_psd_singular_gets_jitter(self, eig_min):
+        M = np.diag([1.0, eig_min])
+        npt.assert_array_equal(ensure_spd(M), M + PD_JITTER * np.eye(2))
+
+    def test_indefinite_beyond_tolerance_raises_with_spectrum(self):
+        with pytest.raises(NumericalFailureError) as info:
+            ensure_spd(np.diag([1.0, -10 * PSD_REL_TOL]), "test matrix")
+        assert "test matrix" in str(info.value)
+        assert info.value.context["eig_min"] == pytest.approx(-10 * PSD_REL_TOL)
+        assert info.value.context["eig_max"] == pytest.approx(1.0)

@@ -13,8 +13,6 @@ from ssue import (
     NewtonOptions,
     SystemModel,
     UncertaintyDomain,
-    assemble_joint_covariance,
-    belief_from_joint,
     ekf_step,
     initial_bank,
     likelihood,
@@ -51,7 +49,7 @@ def random_belief(rng, n, x_scale=1.0):
     W = rng.normal(size=(n + 1, n + 1))
     P = W @ W.T + (n + 1) * np.eye(n + 1)
     xi = np.concatenate([[rng.uniform(-0.15, -0.05)], rng.normal(size=n) * x_scale])
-    return belief_from_joint(xi, P)
+    return JointBelief(xi, P)
 
 
 def rel_err(a, b):
@@ -67,22 +65,19 @@ class TestPredict:
         n = 3
         A = rng.normal(size=(n, n))
         loc = LocationMatrix(np.diag([1.0, 0.0, 1.0]))
-        b = belief_from_joint(np.concatenate([[0.0], rng.normal(size=n)]),
-                              np.eye(n + 1))
+        b = JointBelief(np.concatenate([[0.0], rng.normal(size=n)]), np.eye(n + 1))
         out = predict(b, loc, A, np.zeros((n, n)), q_jitter=0.0)
         npt.assert_allclose(out.x_mean, A @ b.x_mean, rtol=1e-14)
 
     def test_scalar_hand_case_mean(self):
-        b = JointBelief(delta_mean=-0.05, x_mean=np.array([2.0]), p_delta=1.0,
-                        p_delta_x=np.zeros(1), p_x=np.eye(1))
+        b = JointBelief(np.array([-0.05, 2.0]), np.eye(2))
         out = predict(b, LocationMatrix(np.ones((1, 1))), np.ones((1, 1)), np.zeros((1, 1)))
         npt.assert_allclose(out.x_mean, [1.9], rtol=1e-14)
 
     def test_scalar_hand_case_covariance_blocks(self):
         # A=[1], L=[1], delta=0, x=[1], unit joint covariance, Q=[0]:
         # F=[1,1], P^x+ = 2, P^{dx}+ = 1, P^d+ = 1 (Q jitter perturbs at 1e-9)
-        b = JointBelief(delta_mean=0.0, x_mean=np.array([1.0]), p_delta=1.0,
-                        p_delta_x=np.zeros(1), p_x=np.eye(1))
+        b = JointBelief(np.array([0.0, 1.0]), np.eye(2))
         out = predict(b, LocationMatrix(np.ones((1, 1))), np.ones((1, 1)), np.zeros((1, 1)))
         assert out.p_delta == 1.0
         npt.assert_allclose(out.p_x, [[2.0]], atol=1e-8)
@@ -100,7 +95,7 @@ class TestPredict:
         for _ in range(10):
             b = random_belief(rng, model.n)
             out = predict(b, model.locations[0], model.A, model.Q)
-            P = assemble_joint_covariance(out)
+            P = out.xi_cov
             npt.assert_array_equal(P, P.T)
             assert np.linalg.eigvalsh(P)[0] > 0
 
@@ -132,9 +127,9 @@ class TestNewtonUpdate:
             y = mmap.evaluate(pred.x_mean) + rng.normal(size=p)
             post, _ = newton_update(pred, y, mmap, R, opts)
             xi_ref, P_ref = kalman_update_oracle(
-                pred.xi_mean, assemble_joint_covariance(pred), y, C_aug, R)
+                pred.xi_mean, pred.xi_cov, y, C_aug, R)
             assert rel_err(post.xi_mean, xi_ref) <= 1e-8
-            assert rel_err(assemble_joint_covariance(post), P_ref) <= 1e-8
+            assert rel_err(post.xi_cov, P_ref) <= 1e-8
 
     def test_full_newton_matches_gauss_newton_on_linear_map(self, rng):
         n, p = 3, 2
@@ -154,7 +149,7 @@ class TestNewtonUpdate:
             x_true = pred.x_mean + rng.normal(size=model.n)
             y = model.map.evaluate(x_true) + rng.normal(size=model.p) * 0.5
             post, _ = newton_update(pred, y, model.map, model.R, opts)
-            P_pred = assemble_joint_covariance(pred)
+            P_pred = pred.xi_cov
             res = minimize(
                 map_cost, pred.xi_mean,
                 args=(pred.xi_mean, P_pred, y, model.map, model.R),
@@ -236,16 +231,14 @@ class TestNewtonUpdate:
 class TestLikelihood:
     def test_scalar_zero_innovation_value(self):
         # p=1, h(x)=x, P^x=1, R=1, nu=0: (2 pi * 2)^{-1/2}
-        pred = JointBelief(delta_mean=0.0, x_mean=np.array([1.5]), p_delta=1.0,
-                           p_delta_x=np.zeros(1), p_x=np.eye(1))
+        pred = JointBelief(np.array([0.0, 1.5]), np.eye(2))
         mmap = linear_map(np.eye(1))
         lam = likelihood(pred, np.array([1.5]), mmap, np.eye(1))
         npt.assert_allclose(lam, 1.0 / np.sqrt(4.0 * np.pi), rtol=1e-12)
         npt.assert_allclose(lam, 0.28209, rtol=1e-4)
 
     def test_huge_innovation_underflows_but_log_is_finite(self):
-        pred = JointBelief(delta_mean=0.0, x_mean=np.array([0.0]), p_delta=1.0,
-                           p_delta_x=np.zeros(1), p_x=np.eye(1))
+        pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
         mmap = linear_map(np.eye(1))
         y = np.array([100.0 * np.sqrt(2.0)])  # 100 sigma for Gamma = 2
         lam = likelihood(pred, y, mmap, np.eye(1))
@@ -255,8 +248,7 @@ class TestLikelihood:
         npt.assert_allclose(loglam, expected, rtol=1e-12)
 
     def test_maximal_at_zero_innovation(self, rng):
-        pred = JointBelief(delta_mean=0.0, x_mean=np.array([0.0]), p_delta=1.0,
-                           p_delta_x=np.zeros(1), p_x=np.eye(1))
+        pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
         mmap = linear_map(np.eye(1))
         peak = log_likelihood(pred, np.zeros(1), mmap, np.eye(1))
         for _ in range(20):
@@ -353,7 +345,7 @@ class TestSsueStep:
             bank = result.bank
             assert abs(bank.weights.sum() - 1.0) <= 1e-12
             for b in bank.beliefs:
-                P = assemble_joint_covariance(b)
+                P = b.xi_cov
                 npt.assert_array_equal(P, P.T)
                 eig = np.linalg.eigvalsh(P)
                 assert eig[0] > -1e-10 * max(eig[-1], 1.0)
