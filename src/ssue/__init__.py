@@ -36,12 +36,10 @@ from .filters import (
     UpdateReport,
     ekf_step,
     initial_bank,
-    likelihood,
     log_likelihood,
     newton_update,
     predict,
     ssue_step,
-    update_weights,
     update_weights_log,
 )
 from .model import (

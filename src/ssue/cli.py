@@ -29,6 +29,8 @@ from .filters import NewtonOptions
 from .model import SystemModel, model_from_json, validate_model
 from .observability import DeltaGrid, RankTolerance, pairwise_rank_test
 from .sim import (
+    MetricsSummary,
+    RunMetrics,
     RunRecord,
     Scenario,
     load_record,
@@ -49,11 +51,10 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     scn = cfg.get("scenario")
     if not isinstance(scn, dict):
         raise ConfigurationError("config needs a 'scenario' object")
-    if "model" in scn:
-        model = model_from_json(json.dumps(scn["model"]))
-        try:
+    try:
+        if "model" in scn:
             return Scenario(
-                model=model,
+                model=model_from_json(json.dumps(scn["model"])),
                 true_delta=scn["true_delta"],
                 true_loc_index=scn["true_loc_index"],
                 x0_truth=np.asarray(scn["x0_truth"], dtype=float),
@@ -61,25 +62,35 @@ def _scenario_from_config(cfg: dict) -> Scenario:
                 seed=int(scn.get("seed", 0)),
                 Ts=float(scn.get("Ts", 0.1)),
             )
-        except KeyError as exc:
-            raise ConfigurationError(f"scenario is missing field {exc}") from exc
-    preset_kwargs = {}
-    for key in ("Ts", "q", "r", "sensors", "true_delta", "true_loc_index",
-                "x0", "steps", "seed", "delta_domain", "P0"):
-        if key in scn:
-            preset_kwargs[key] = scn[key]
-    try:
+        preset_kwargs = {}
+        for key in ("Ts", "q", "r", "sensors", "true_delta", "true_loc_index",
+                    "x0", "steps", "seed", "delta_domain", "P0"):
+            if key in scn:
+                preset_kwargs[key] = scn[key]
         return tracking_preset(**preset_kwargs)
-    except TypeError as exc:
+    except KeyError as exc:
+        raise ConfigurationError(f"scenario is missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad scenario field: {exc}") from exc
 
 
-def _newton_from_config(cfg: dict) -> NewtonOptions:
-    fields = cfg.get("newton", {})
-    if not isinstance(fields, dict):
-        raise ConfigurationError("'newton' must be an object")
+def _object(cfg: dict, key: str) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"'{key}' must be an object")
+    return value
+
+
+def _integer(cfg: dict, key: str, default: int) -> int:
     try:
-        return NewtonOptions(**fields)
+        return int(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"'{key}' must be an integer: {exc}") from exc
+
+
+def _newton_from_config(cfg: dict) -> NewtonOptions:
+    try:
+        return NewtonOptions(**_object(cfg, "newton"))
     except TypeError as exc:
         raise ConfigurationError(f"bad newton option: {exc}") from exc
 
@@ -133,20 +144,11 @@ def _output_dir(cfg: dict) -> Path:
     return out
 
 
-def _summary(record: RunRecord) -> dict:
+def _save_run(record: RunRecord, directory: Path) -> RunMetrics:
+    save_record(record, directory)
     metrics = run_metrics(record)
-    labels = record.scenario.model.locations.labels
-    return {
-        "seed": record.scenario.seed,
-        "steps": record.steps,
-        "identified": labels[metrics.identified_final],
-        "identification_correct": metrics.success,
-        "final_mu": metrics.final_mu.tolist(),
-        "final_delta_hat": float(record.fused_means[-1, 0]),
-        "true_delta": record.scenario.true_delta,
-        "final_delta_abs_error": float(metrics.delta_error_traj[-1]),
-        "rmse": {"ssue": metrics.rmse_ssue.tolist(), "ekf": metrics.rmse_ekf.tolist()},
-    }
+    (directory / "summary.json").write_text(json.dumps(metrics.to_dict(), indent=2))
+    return metrics
 
 
 def cmd_simulate(cfg: dict, args) -> int:
@@ -169,36 +171,20 @@ def cmd_estimate(cfg: dict, args) -> int:
         raise ConfigurationError("--runs must be >= 1")
 
     if runs == 1:
-        record = _estimate_one(scenario, opts, args.input)
-        save_record(record, out)
-        summary = _summary(record)
-        (out / "summary.json").write_text(json.dumps(summary, indent=2))
-        print(f"identified {summary['identified']} "
-              f"(delta_hat {summary['final_delta_hat']:.4f}); outputs in {out}")
+        metrics = _save_run(_estimate_one(scenario, opts, args.input), out)
+        print(f"identified {metrics.identified} "
+              f"(delta_hat {metrics.final_delta_hat:.4f}); outputs in {out}")
         return EXIT_OK
 
     if args.input is not None:
         raise ConfigurationError("--input and --runs cannot be combined")
-    summaries = []
+    per_run = []
     for i in range(runs):
-        scn = replace(scenario, seed=scenario.seed + i)
-        record = run_estimation(scn, opts)
-        run_dir = out / f"run_{i:03d}"
-        save_record(record, run_dir)
-        summary = _summary(record)
-        (run_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-        summaries.append(summary)
-    aggregate = {
-        "runs": runs,
-        "success_rate": float(np.mean([s["identification_correct"] for s in summaries])),
-        "median_final_delta_abs_error": float(
-            np.median([s["final_delta_abs_error"] for s in summaries])),
-        "rmse_ssue_mean": np.mean([s["rmse"]["ssue"] for s in summaries], axis=0).tolist(),
-        "rmse_ekf_mean": np.mean([s["rmse"]["ekf"] for s in summaries], axis=0).tolist(),
-        "per_run": summaries,
-    }
-    (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2))
-    print(f"{runs} runs: success rate {aggregate['success_rate']:.2f}; outputs in {out}")
+        record = run_estimation(replace(scenario, seed=scenario.seed + i), opts)
+        per_run.append(_save_run(record, out / f"run_{i:03d}"))
+    summary = MetricsSummary.from_runs(per_run)
+    (out / "aggregate.json").write_text(json.dumps(summary.to_dict(), indent=2))
+    print(f"{runs} runs: success rate {summary.success_rate:.2f}; outputs in {out}")
     return EXIT_OK
 
 
@@ -218,12 +204,12 @@ def _estimate_one(scenario: Scenario, opts: NewtonOptions, input_dir) -> RunReco
 def cmd_observability(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
     _validated_model(scenario.model)
-    obs_cfg = cfg.get("observability", {})
-    K = int(obs_cfg.get("K", 10))
+    obs_cfg = _object(cfg, "observability")
+    K = _integer(obs_cfg, "K", 10)
     if K < 1:
         raise ConfigurationError("observability K must be >= 1")
-    grid_points = int(obs_cfg.get("grid_points", 101))
-    tol_cfg = obs_cfg.get("tolerance_policy", {})
+    grid_points = _integer(obs_cfg, "grid_points", 101)
+    tol_cfg = _object(obs_cfg, "tolerance_policy")
     tolerance = RankTolerance(kind=tol_cfg.get("kind", "relative"),
                               value=tol_cfg.get("value"))
     out = _output_dir(cfg)
@@ -261,8 +247,8 @@ def cmd_analyze(cfg: dict, args) -> int:
         raise ConfigurationError(
             f"record {args.input} has no stored likelihoods; run `ssue estimate` first")
     out = _output_dir(cfg)
-    ana = cfg.get("analysis", {})
-    horizon = int(ana.get("horizon", 20))
+    ana = _object(cfg, "analysis")
+    horizon = _integer(ana, "horizon", 20)
     scenario = record.scenario
     model = scenario.model
     M = model.M

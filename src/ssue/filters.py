@@ -6,8 +6,7 @@ and an iterative MAP measurement update (Newton or Gauss-Newton on the
 negative log posterior).  Location probabilities are then reweighted by the
 likelihoods and the bank is collapsed to a fused estimate.
 
-Likelihoods are handled in log domain throughout; the linear-domain values
-are exposed for reporting only.
+Likelihoods are handled in log domain throughout.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class StepResult:
     bank: HypothesisBank
     fused: JointBelief
     identified_index: int
-    lambdas: np.ndarray
     log_lambdas: np.ndarray
     reports: tuple[UpdateReport, ...] = field(default=())
 
@@ -152,34 +150,6 @@ def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarr
     return JointBelief(np.concatenate(([belief.delta_mean], A_pert @ belief.x_mean)), predicted)
 
 
-def _fd_hessians(measurement_map: MeasurementMap, x: np.ndarray) -> np.ndarray:
-    """Central finite differences of the Jacobian, one Hessian per output."""
-    n = x.shape[0]
-    p = measurement_map.output_dim
-    H = np.zeros((p, n, n))
-    for j in range(n):
-        h = 1e-5 * (1.0 + abs(x[j]))
-        e = np.zeros(n)
-        e[j] = h
-        dJ = (measurement_map.jacobian(x + e) - measurement_map.jacobian(x - e)) / (2.0 * h)
-        H[:, :, j] = dJ
-    for m in range(p):
-        H[m] = symmetrize(H[m])
-    return H
-
-
-def _second_order_term(measurement_map, x, w, n1):
-    """S = sum_j r_j Hess(r_j): curvature of the measurement residual block,
-    given ``w = R^{-1} (y - h(x))``."""
-    if measurement_map.hessian is not None:
-        hess = np.asarray(measurement_map.hessian(x), dtype=float)
-    else:
-        hess = _fd_hessians(measurement_map, x)
-    S = np.zeros((n1, n1))
-    S[1:, 1:] = -np.einsum("m,mij->ij", w, hess)
-    return S
-
-
 def _solve_step(N: np.ndarray, g: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(N, -g)
@@ -206,8 +176,11 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     Cholesky factors (the iterate only depends on them through R^{-1} and
     P^{-1}, so the factor choice is immaterial).  The posterior covariance is
     the inverse Fisher information [H + P_pred^{-1}]^{-1} with
-    H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.
+    H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.  Full Newton
+    needs the map's ``hessian``.
     """
+    if opts.mode == "full_newton" and measurement_map.hessian is None:
+        raise ContractError("full_newton mode needs a measurement map with a hessian")
     p = measurement_map.output_dim
     y = _measurement_vector(y, p)
     n1 = pred.n + 1
@@ -233,7 +206,9 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
         g = J.T @ r
         N = J.T @ J
         if opts.mode == "full_newton":
-            N = N + _second_order_term(measurement_map, xi[1:], LR_inv.T @ r[:p], n1)
+            # residual curvature -sum_m w_m Hess(h_m), w = R^{-1} (y - h(x))
+            hess = np.asarray(measurement_map.hessian(xi[1:]), dtype=float)
+            N[1:, 1:] -= np.einsum("m,mij->ij", LR_inv.T @ r[:p], hess)
         d = _solve_step(N, g)
 
         if opts.line_search == "none":
@@ -300,23 +275,14 @@ def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: Measuremen
     return -0.5 * (y.shape[0] * np.log(2.0 * np.pi) + log_det + float(z @ z))
 
 
-def likelihood(pred: JointBelief, y, measurement_map: MeasurementMap, R) -> float:
-    """Innovation density in linear domain (may underflow to 0; see log_likelihood)."""
-    return float(np.exp(log_likelihood(pred, y, measurement_map, R)))
-
-
-def _check_simplex(mu: np.ndarray):
-    if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
-        raise ContractError(f"weights must form a simplex, got sum {mu.sum()!r}")
-
-
 def update_weights_log(mu_prev, log_lambdas, floor: float = DEFAULT_WEIGHT_FLOOR) -> np.ndarray:
     """Bayes update of the location probabilities from log evidences."""
     mu = np.asarray(mu_prev, dtype=float).reshape(-1)
     ll = np.asarray(log_lambdas, dtype=float).reshape(-1)
     if mu.shape != ll.shape:
         raise ContractError("weights and likelihoods must have equal length")
-    _check_simplex(mu)
+    if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
+        raise ContractError(f"weights must form a simplex, got sum {mu.sum()!r}")
     with np.errstate(divide="ignore"):
         log_post = ll + np.log(mu)
     finite = np.isfinite(log_post)
@@ -329,15 +295,6 @@ def update_weights_log(mu_prev, log_lambdas, floor: float = DEFAULT_WEIGHT_FLOOR
         mu_new = np.maximum(mu_new, floor)
         mu_new = mu_new / mu_new.sum()
     return mu_new
-
-
-def update_weights(mu_prev, lambdas, floor: float = DEFAULT_WEIGHT_FLOOR) -> np.ndarray:
-    """Linear-domain wrapper around :func:`update_weights_log`."""
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
-    if np.any(lam < 0.0):
-        raise ContractError("likelihoods must be nonnegative")
-    with np.errstate(divide="ignore"):
-        return update_weights_log(mu_prev, np.log(lam), floor=floor)
 
 
 def ssue_step(bank: HypothesisBank, y, model: SystemModel,
@@ -384,7 +341,6 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
         bank=new_bank,
         fused=fuse(new_bank),
         identified_index=identify_location(new_bank),
-        lambdas=np.exp(log_lams),
         log_lambdas=log_lams,
         reports=tuple(reports),
     )

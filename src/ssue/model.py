@@ -18,6 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .belief import PSD_REL_TOL
 from .errors import ConfigurationError, SingularGradientError
 
 _SYMMETRY_TOL = 1e-10
@@ -129,9 +130,8 @@ class MeasurementMap:
 
     ``evaluate(x)`` returns the p-vector h(x); ``jacobian(x)`` the p x n matrix
     of partials; ``hessian(x)``, when present, a (p, n, n) array holding one
-    symmetric Hessian per output component.  Maps without a Hessian force the
-    filter into Gauss-Newton mode for the second-order term (or finite
-    differences when full Newton is requested).
+    symmetric Hessian per output component.  Full Newton
+    (``NewtonOptions(mode="full_newton")``) needs it; Gauss-Newton does not.
     """
 
     output_dim: int
@@ -291,7 +291,7 @@ def _definite_violation(M: np.ndarray, name: str, strict: bool) -> list[str]:
     scale = max(eig[-1], 1.0)
     if strict and eig[0] <= 0.0:
         return [f"{name} is not positive definite (min eigenvalue {eig[0]:.3e})"]
-    if not strict and eig[0] < -1e-10 * scale:
+    if not strict and eig[0] < -PSD_REL_TOL * scale:
         return [f"{name} is not positive semidefinite (min eigenvalue {eig[0]:.3e})"]
     return []
 

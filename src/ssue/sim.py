@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .belief import PSD_REL_TOL
 from .errors import ConfigurationError, ContractError, NumericalFailureError
 from .filters import NewtonOptions, ekf_step, initial_bank, ssue_step
 from .model import (
@@ -50,12 +51,17 @@ class Scenario:
         x0 = np.asarray(self.x0_truth, dtype=float).reshape(-1)
         if x0.shape != (self.model.n,):
             raise ContractError(f"x0_truth must have shape ({self.model.n},), got {x0.shape}")
+        for name in ("true_loc_index", "steps", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ContractError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 <= self.true_loc_index < self.model.M:
             raise ContractError(f"true_loc_index {self.true_loc_index} out of range")
         if self.steps < 1:
             raise ContractError("steps must be >= 1")
         if not self.Ts > 0.0:
             raise ContractError("Ts must be positive")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
         x0.setflags(write=False)
         object.__setattr__(self, "x0_truth", x0)
         object.__setattr__(self, "true_delta", float(self.true_delta))
@@ -87,10 +93,8 @@ class RunRecord:
     mu: np.ndarray | None = None
     log_lambdas: np.ndarray | None = None
     fused_means: np.ndarray | None = None
-    fused_covs: np.ndarray | None = None
     identified: np.ndarray | None = None
     ekf_means: np.ndarray | None = None
-    ekf_covs: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -135,7 +139,10 @@ def tracking_preset(Ts: float = 0.1, q: float = 0.05, r: float = 2.0,
         [Ts ** 2 / 2.0, 0.0, Ts, 0.0],
         [0.0, Ts ** 2 / 2.0, 0.0, Ts],
     ])
-    sensors = tuple((float(sx), float(sy)) for sx, sy in sensors)
+    try:
+        sensors = tuple((float(sx), float(sy)) for sx, sy in sensors)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"sensors must be (sx, sy) pairs: {exc}") from exc
     R = r * np.eye(len(sensors))
     if P0 is None:
         P0 = np.diag([25.0, 25.0, 4.0, 4.0])
@@ -160,7 +167,7 @@ def _psd_factor(M: np.ndarray, name: str) -> np.ndarray:
         pass
     w, V = np.linalg.eigh(M)
     scale = max(float(w[-1]), 1.0)
-    if w[0] < -1e-10 * scale:
+    if w[0] < -PSD_REL_TOL * scale:
         raise NumericalFailureError(f"{name} is indefinite; cannot sample from it",
                                     context={"eig_min": float(w[0])})
     return V * np.sqrt(np.clip(w, 0.0, None))
@@ -211,10 +218,8 @@ def run_estimation(scenario: Scenario, opts: NewtonOptions = NewtonOptions(),
     mu = np.empty((steps, M))
     log_lams = np.empty((steps, M))
     fused_means = np.empty((steps, n + 1))
-    fused_covs = np.empty((steps, n + 1, n + 1))
     identified = np.empty(steps, dtype=int)
     ekf_means = np.empty((steps, n))
-    ekf_covs = np.empty((steps, n, n))
 
     for k in range(steps):
         result = ssue_step(bank, record.measurements[k], model, opts, step=k)
@@ -222,36 +227,51 @@ def run_estimation(scenario: Scenario, opts: NewtonOptions = NewtonOptions(),
         mu[k] = bank.weights
         log_lams[k] = result.log_lambdas
         fused_means[k] = result.fused.xi_mean
-        fused_covs[k] = result.fused.xi_cov
         identified[k] = result.identified_index
         ekf_mean, ekf_cov = ekf_step(ekf_mean, ekf_cov, record.measurements[k], model)
         ekf_means[k] = ekf_mean
-        ekf_covs[k] = ekf_cov
 
     record.mu = mu
     record.log_lambdas = log_lams
     record.fused_means = fused_means
-    record.fused_covs = fused_covs
     record.identified = identified
     record.ekf_means = ekf_means
-    record.ekf_covs = ekf_covs
     return record
 
 
 @dataclass(frozen=True)
 class RunMetrics:
+    """One estimation run's identification and accuracy; ``to_dict`` is ``summary.json``."""
+
     seed: int
-    final_mu: np.ndarray
-    identified_final: int
+    steps: int
+    identified: str
     success: bool
+    final_mu: np.ndarray
+    final_delta_hat: float
+    true_delta: float
     delta_error_traj: np.ndarray
     rmse_ssue: np.ndarray
     rmse_ekf: np.ndarray
 
+    def to_dict(self) -> dict:
+        return {
+            "seed": self.seed,
+            "steps": self.steps,
+            "identified": self.identified,
+            "identification_correct": self.success,
+            "final_mu": self.final_mu.tolist(),
+            "final_delta_hat": self.final_delta_hat,
+            "true_delta": self.true_delta,
+            "final_delta_abs_error": float(self.delta_error_traj[-1]),
+            "rmse": {"ssue": self.rmse_ssue.tolist(), "ekf": self.rmse_ekf.tolist()},
+        }
+
 
 @dataclass(frozen=True)
 class MetricsSummary:
-    """Per-run metrics plus simple aggregates over a Monte Carlo batch."""
+    """Per-run metrics plus simple aggregates over a Monte Carlo batch;
+    ``to_dict`` is its ``aggregate.json``."""
 
     per_run: tuple[RunMetrics, ...]
     failures: tuple[tuple[int, str], ...]
@@ -261,27 +281,35 @@ class MetricsSummary:
     rmse_ekf_mean: np.ndarray
     ssue_beats_ekf_rate: np.ndarray
 
+    @classmethod
+    def from_runs(cls, per_run, failures=()) -> MetricsSummary:
+        """Aggregate completed runs; ``failures`` holds (seed, message) of the rest."""
+        per_run, failures = tuple(per_run), tuple(failures)
+        if not per_run:
+            raise NumericalFailureError("every Monte Carlo run failed",
+                                        context={"failures": list(failures)})
+        rmse_ssue = np.stack([r.rmse_ssue for r in per_run])
+        rmse_ekf = np.stack([r.rmse_ekf for r in per_run])
+        return cls(
+            per_run=per_run,
+            failures=failures,
+            success_rate=float(np.mean([r.success for r in per_run])),
+            median_final_delta_error=float(np.median([r.delta_error_traj[-1] for r in per_run])),
+            rmse_ssue_mean=rmse_ssue.mean(axis=0),
+            rmse_ekf_mean=rmse_ekf.mean(axis=0),
+            ssue_beats_ekf_rate=np.mean(rmse_ssue < rmse_ekf, axis=0),
+        )
+
     def to_dict(self) -> dict:
         return {
             "runs": len(self.per_run),
-            "failed_runs": [{"seed": s, "error": msg} for s, msg in self.failures],
             "success_rate": self.success_rate,
-            "median_final_delta_error": self.median_final_delta_error,
+            "median_final_delta_abs_error": self.median_final_delta_error,
             "rmse_ssue_mean": self.rmse_ssue_mean.tolist(),
             "rmse_ekf_mean": self.rmse_ekf_mean.tolist(),
+            "per_run": [r.to_dict() for r in self.per_run],
+            "failed_runs": [{"seed": s, "error": msg} for s, msg in self.failures],
             "ssue_beats_ekf_rate": self.ssue_beats_ekf_rate.tolist(),
-            "per_run": [
-                {
-                    "seed": r.seed,
-                    "final_mu": r.final_mu.tolist(),
-                    "identified_final": int(r.identified_final),
-                    "success": bool(r.success),
-                    "final_delta_error": float(r.delta_error_traj[-1]),
-                    "rmse_ssue": r.rmse_ssue.tolist(),
-                    "rmse_ekf": r.rmse_ekf.tolist(),
-                }
-                for r in self.per_run
-            ],
         }
 
 
@@ -292,9 +320,12 @@ def run_metrics(record: RunRecord) -> RunMetrics:
     err_ekf = record.ekf_means - record.truth
     return RunMetrics(
         seed=scn.seed,
-        final_mu=record.mu[-1].copy(),
-        identified_final=int(record.identified[-1]),
+        steps=record.steps,
+        identified=scn.model.locations.labels[record.identified[-1]],
         success=bool(record.identified[-1] == scn.true_loc_index),
+        final_mu=record.mu[-1].copy(),
+        final_delta_hat=float(record.fused_means[-1, 0]),
+        true_delta=scn.true_delta,
         delta_error_traj=np.abs(record.fused_means[:, 0] - scn.true_delta),
         rmse_ssue=np.sqrt(np.mean(err_ssue ** 2, axis=0)),
         rmse_ekf=np.sqrt(np.mean(err_ekf ** 2, axis=0)),
@@ -318,20 +349,7 @@ def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int,
             per_run.append(run_metrics(run_estimation(scn, opts)))
         except NumericalFailureError as exc:
             failures.append((scn.seed, str(exc)))
-    if not per_run:
-        raise NumericalFailureError("every Monte Carlo run failed",
-                                    context={"failures": failures})
-    rmse_ssue = np.stack([r.rmse_ssue for r in per_run])
-    rmse_ekf = np.stack([r.rmse_ekf for r in per_run])
-    return MetricsSummary(
-        per_run=tuple(per_run),
-        failures=tuple(failures),
-        success_rate=float(np.mean([r.success for r in per_run])),
-        median_final_delta_error=float(np.median([r.delta_error_traj[-1] for r in per_run])),
-        rmse_ssue_mean=rmse_ssue.mean(axis=0),
-        rmse_ekf_mean=rmse_ekf.mean(axis=0),
-        ssue_beats_ekf_rate=np.mean(rmse_ssue < rmse_ekf, axis=0),
-    )
+    return MetricsSummary.from_runs(per_run, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from ssue import monte_carlo, tracking_preset
 from ssue.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SUMMARY_KEYS = ["seed", "steps", "identified", "identification_correct", "final_mu",
+                "final_delta_hat", "true_delta", "final_delta_abs_error", "rmse"]
 
 LINEAR_MODEL = {
     "A": [[1.0, 0.0], [0.0, 1.0]],
@@ -62,6 +70,7 @@ class TestEstimateCommand:
         cfg = preset_config(tmp_path, seed=42)
         assert main(["estimate", "--config", cfg]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert list(summary) == SUMMARY_KEYS
         assert summary["identified"] in {"A1", "A2", "A3"}
         mu = np.asarray(summary["final_mu"])
         assert mu.shape == (3,) and abs(mu.sum() - 1.0) < 1e-9 and np.all(mu >= 0)
@@ -93,6 +102,17 @@ class TestEstimateCommand:
         assert len(aggregate["per_run"]) == 3
         seeds = [s["seed"] for s in aggregate["per_run"]]
         assert seeds == [5, 6, 7]
+
+    def test_runs_batch_is_the_library_batch(self, tmp_path):
+        cfg = preset_config(tmp_path)
+        assert main(["estimate", "--config", cfg, "--runs", "3", "--steps", "20"]) == 0
+        aggregate = json.loads((tmp_path / "out" / "aggregate.json").read_text())
+        summary = monte_carlo(tracking_preset(steps=20), n_runs=3, seed_base=5)
+        assert aggregate == json.loads(json.dumps(summary.to_dict()))
+        assert aggregate["failed_runs"] == []
+        for i, run in enumerate(aggregate["per_run"]):
+            on_disk = json.loads((tmp_path / "out" / f"run_{i:03d}" / "summary.json").read_text())
+            assert run == on_disk
 
     def test_input_reuses_simulated_measurements(self, tmp_path):
         cfg = preset_config(tmp_path, out="sim", seed=11)
@@ -133,6 +153,32 @@ class TestEstimateCommand:
         for name in ("truth.csv", "measurements.csv", "estimates.csv", "weights.csv"):
             assert ((tmp_path / "r1" / name).read_bytes()
                     == (tmp_path / "r2" / name).read_bytes())
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, cfg", [
+        ("observability", {"scenario": {"steps": 10}, "observability": {"K": "ten"}}),
+        ("observability", {"scenario": {"steps": 10}, "observability": {"tolerance_policy": 3}}),
+        ("estimate", {"scenario": {"steps": 10, "seed": "x"}}),
+        ("estimate", {"scenario": {"steps": 2.5}}),
+        ("estimate", {"scenario": {"steps": 10, "true_loc_index": 1.5}}),
+        ("estimate", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}),
+        ("observability", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}),
+    ], ids=["K", "tolerance_policy", "seed", "steps", "true_loc_index",
+            "sensors_estimate", "sensors_observability"])
+    def test_wrong_type_exits_2_without_traceback(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, {**cfg, "output_dir": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestReadme:
+    def test_config_example_runs(self, tmp_path):
+        text = README.read_text()
+        block = re.search(r"Config example.*?```json\n(.*?)```", text, re.S)
+        path = write_config(tmp_path, json.loads(block.group(1)))
+        assert main(["estimate", "--config", path, "--steps", "5",
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 class TestScenarioConfigRoundTrip:

@@ -15,14 +15,13 @@ from ssue import (
     UncertaintyDomain,
     ekf_step,
     initial_bank,
-    likelihood,
     linear_map,
     log_likelihood,
     newton_update,
     predict,
     ssue_step,
     tracking_preset,
-    update_weights,
+    update_weights_log,
 )
 
 # ---------------------------------------------------------------------------
@@ -178,28 +177,20 @@ class TestNewtonUpdate:
             assert rep_gn.converged and rep_fn.converged
             assert np.linalg.norm(post_gn.xi_mean - post_fn.xi_mean) < 1e-6
 
-    def test_full_newton_finite_difference_hessian_fallback(self, rng):
+    def test_full_newton_without_hessian_raises(self, rng):
         def evaluate(x):
             return np.array([np.sin(x[0]) + x[1] ** 2, x[0] * x[1]])
 
         def jacobian(x):
             return np.array([[np.cos(x[0]), 2 * x[1]], [x[1], x[0]]])
 
-        def hessian(x):
-            H = np.zeros((2, 2, 2))
-            H[0, 0, 0] = -np.sin(x[0])
-            H[0, 1, 1] = 2.0
-            H[1, 0, 1] = H[1, 1, 0] = 1.0
-            return H
-
-        with_hess = MeasurementMap(2, evaluate, jacobian, hessian)
         without_hess = MeasurementMap(2, evaluate, jacobian, None)
         pred = random_belief(rng, 2)
         y = evaluate(pred.x_mean) + 0.1
-        opts = NewtonOptions(mode="full_newton", max_iterations=30, step_tolerance=1e-12)
-        post_a, _ = newton_update(pred, y, with_hess, np.eye(2), opts)
-        post_b, _ = newton_update(pred, y, without_hess, np.eye(2), opts)
-        npt.assert_allclose(post_b.xi_mean, post_a.xi_mean, rtol=0, atol=1e-6)
+        with pytest.raises(ContractError, match="hessian"):
+            newton_update(pred, y, without_hess, np.eye(2), NewtonOptions(mode="full_newton"))
+        # Gauss-Newton never needs the Hessian
+        newton_update(pred, y, without_hess, np.eye(2), NewtonOptions(mode="gauss_newton"))
 
     def test_backtracking_cost_trajectory_non_increasing(self, rng, tracking_scenario):
         model = tracking_scenario.model
@@ -233,17 +224,16 @@ class TestLikelihood:
         # p=1, h(x)=x, P^x=1, R=1, nu=0: (2 pi * 2)^{-1/2}
         pred = JointBelief(np.array([0.0, 1.5]), np.eye(2))
         mmap = linear_map(np.eye(1))
-        lam = likelihood(pred, np.array([1.5]), mmap, np.eye(1))
-        npt.assert_allclose(lam, 1.0 / np.sqrt(4.0 * np.pi), rtol=1e-12)
-        npt.assert_allclose(lam, 0.28209, rtol=1e-4)
+        loglam = log_likelihood(pred, np.array([1.5]), mmap, np.eye(1))
+        npt.assert_allclose(loglam, np.log(1.0 / np.sqrt(4.0 * np.pi)), rtol=1e-12)
+        npt.assert_allclose(loglam, np.log(0.28209), rtol=1e-4)
 
     def test_huge_innovation_underflows_but_log_is_finite(self):
         pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
         mmap = linear_map(np.eye(1))
         y = np.array([100.0 * np.sqrt(2.0)])  # 100 sigma for Gamma = 2
-        lam = likelihood(pred, y, mmap, np.eye(1))
         loglam = log_likelihood(pred, y, mmap, np.eye(1))
-        assert lam == 0.0
+        assert np.exp(loglam) == 0.0  # the linear-domain value underflows
         expected = -0.5 * 100.0 ** 2 - 0.5 * np.log(2 * np.pi * 2.0)
         npt.assert_allclose(loglam, expected, rtol=1e-12)
 
@@ -259,28 +249,29 @@ class TestLikelihood:
 class TestUpdateWeights:
     def test_uniform_evidence_leaves_weights(self):
         mu = np.array([0.25, 0.5, 0.25])
-        npt.assert_allclose(update_weights(mu, [3.0, 3.0, 3.0], floor=0.0), mu, rtol=1e-14)
+        out = update_weights_log(mu, np.log([3.0, 3.0, 3.0]), floor=0.0)
+        npt.assert_allclose(out, mu, rtol=1e-14)
 
     def test_direct_normalization(self):
-        out = update_weights([0.5, 0.5], [2.0, 1.0], floor=0.0)
+        out = update_weights_log([0.5, 0.5], np.log([2.0, 1.0]), floor=0.0)
         npt.assert_allclose(out, [2 / 3, 1 / 3], rtol=1e-14)
 
     def test_floor_revives_dead_hypotheses(self):
-        out = update_weights([1.0, 0.0], [1.0, 1.0], floor=1e-12)
+        out = update_weights_log([1.0, 0.0], np.log([1.0, 1.0]), floor=1e-12)
         assert out[1] == pytest.approx(1e-12, rel=1e-6)
         npt.assert_allclose(out.sum(), 1.0, atol=1e-15)
 
     def test_all_zero_evidence_raises(self):
+        with np.errstate(divide="ignore"):
+            zero_evidence = np.log([0.0, 0.0])
         with pytest.raises(DegenerateEvidenceError):
-            update_weights([0.5, 0.5], [0.0, 0.0])
+            update_weights_log([0.5, 0.5], zero_evidence)
 
     def test_contract_errors(self):
         with pytest.raises(ContractError):
-            update_weights([0.5, 0.5], [1.0])
+            update_weights_log([0.5, 0.5], np.log([1.0]))
         with pytest.raises(ContractError):
-            update_weights([0.7, 0.7], [1.0, 1.0])
-        with pytest.raises(ContractError):
-            update_weights([0.5, 0.5], [-1.0, 1.0])
+            update_weights_log([0.7, 0.7], np.log([1.0, 1.0]))
 
     def test_identified_location_invariant_under_lambda_scaling(self, rng):
         for _ in range(20):
@@ -288,8 +279,8 @@ class TestUpdateWeights:
             mu = mu / mu.sum()
             lam = rng.uniform(0.1, 5.0, 3)
             scale = rng.uniform(1e-3, 1e3)
-            a = update_weights(mu, lam)
-            b = update_weights(mu, lam * scale)
+            a = update_weights_log(mu, np.log(lam))
+            b = update_weights_log(mu, np.log(lam * scale))
             npt.assert_allclose(a, b, rtol=1e-10)
             assert np.argmax(a) == np.argmax(b)
 
