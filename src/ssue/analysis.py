@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
 
 from .errors import ContractError
 from .model import LocationMatrix, SystemModel
-from .observability import DeltaGrid, stack_observability
+from .observability import DeltaGrid, _hypotheses, _stack_blocks
 
 
 @dataclass(frozen=True)
@@ -47,24 +46,36 @@ def linearized_C(model: SystemModel, x_ref=None) -> np.ndarray:
     return np.atleast_2d(np.asarray(model.map.jacobian(np.asarray(x_ref, dtype=float))))
 
 
+def _input_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Block-Toeplitz I_k from (N, k+1, p, n) stacked blocks C A^j: block (i, j)
+    of each (k+1)p x kn result is C A^(i-j-1) for i > j and zero otherwise."""
+    N, K1, p, n = blocks.shape
+    lag = np.arange(K1)[:, None] - np.arange(K1 - 1)[None, :] - 1
+    tiles = np.where((lag >= 0)[:, :, None, None], blocks[:, np.maximum(lag, 0)], 0.0)
+    return tiles.transpose(0, 1, 3, 2, 4).reshape(N, K1 * p, (K1 - 1) * n)
+
+
 def stacked_input_matrix(delta: float, loc: LocationMatrix, A, C, k: int) -> np.ndarray:
     """Block-Toeplitz map from the stacked process noise [w_0; ...; w_{k-1}]
     to the stacked outputs: block (i, j) is C (A + delta L)^(i-j-1) for i > j."""
     if k < 1:
         raise ContractError("stacked input matrix needs k >= 1")
-    A = np.asarray(A, dtype=float)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    p = C.shape[0]
-    A_pert = A + float(delta) * loc.entries
-    powers = [C]
-    for _ in range(k - 1):
-        powers.append(powers[-1] @ A_pert)
-    I_k = np.zeros(((k + 1) * p, k * n))
-    for i in range(1, k + 1):
-        for j in range(i):
-            I_k[i * p:(i + 1) * p, j * n:(j + 1) * n] = powers[i - j - 1]
-    return I_k
+    return _input_blocks(_stack_blocks([float(delta)], loc.entries[None], A, C, k))[0]
+
+
+def _stacked_outputs(model: SystemModel, deltas, entries, k: int, x_ref):
+    """O_k, I_k (both batched over hypotheses), Omega_k, the stacked R and the
+    batched Sigma_k, all from one set of stacked powers."""
+    blocks = _stack_blocks(deltas, entries, model.A, linearized_C(model, x_ref), k)
+    N, _, p, n = blocks.shape
+    O = blocks.reshape(N, (k + 1) * p, n)
+    I = _input_blocks(blocks)
+    Omega = np.kron(np.eye(k + 1), model.Q)  # blkdiag(P0, Q, ..., Q)
+    Omega[:n, :n] = model.P0
+    R_stacked = np.kron(np.eye(k + 1), model.R)
+    Pi = np.concatenate([O, I], axis=2)
+    Sigma = Pi @ Omega @ Pi.transpose(0, 2, 1) + R_stacked
+    return O, I, Omega, R_stacked, 0.5 * (Sigma + Sigma.transpose(0, 2, 1))
 
 
 def output_covariance(delta: float, loc: LocationMatrix, model: SystemModel, k: int,
@@ -73,21 +84,10 @@ def output_covariance(delta: float, loc: LocationMatrix, model: SystemModel, k: 
 
     The noise block of Omega_k holds k copies of Q (one per w_0..w_{k-1}).
     """
-    if k < 0:
-        raise ContractError("horizon k must be >= 0")
-    C = linearized_C(model, x_ref)
-    O_k = stack_observability(delta, loc, model.A, C, k)
-    if k == 0:
-        I_k = np.zeros((C.shape[0], 0))
-        Omega = model.P0.copy()
-    else:
-        I_k = stacked_input_matrix(delta, loc, model.A, C, k)
-        Omega = block_diag(model.P0, *([model.Q] * k))
-    R_stacked = block_diag(*([model.R] * (k + 1)))
-    Pi = np.hstack([O_k, I_k])
-    Sigma = Pi @ Omega @ Pi.T + R_stacked
-    return StackedOutputModel(O_k=O_k, I_k=I_k, Omega_k=Omega,
-                              R_k_stacked=R_stacked, Sigma_k=0.5 * (Sigma + Sigma.T))
+    O, I, Omega, R_stacked, Sigma = _stacked_outputs(model, [float(delta)],
+                                                     loc.entries[None], k, x_ref)
+    return StackedOutputModel(O_k=O[0], I_k=I[0], Omega_k=Omega,
+                              R_k_stacked=R_stacked, Sigma_k=Sigma[0])
 
 
 def _chol_or_contract(Sigma: np.ndarray, name: str) -> np.ndarray:
@@ -109,7 +109,7 @@ def gaussian_kl(Sigma_t, Sigma_i) -> float:
     L_t = _chol_or_contract(Sigma_t, "Sigma_t")
     L_i = _chol_or_contract(Sigma_i, "Sigma_i")
     m = Sigma_t.shape[0]
-    W = solve_triangular(L_i, L_t, lower=True)
+    W = np.linalg.solve(L_i, L_t)
     trace = float(np.sum(W * W))
     log_det_t = 2.0 * float(np.sum(np.log(np.diag(L_t))))
     log_det_i = 2.0 * float(np.sum(np.log(np.diag(L_i))))
@@ -121,22 +121,28 @@ def kl_separation(model: SystemModel, grid: DeltaGrid, k: int, x_ref=None) -> np
 
     Entry (t, i) is D(Sigma_k(t) || Sigma_k(i)); hypotheses are ordered
     grid-major (all locations for the first delta, then the next delta, ...).
+    Distinct covariances are factored once, and the trace terms
+    tr(Sigma_i^-1 Sigma_t) = <Sigma_i^-1, Sigma_t>_F of all pairs form one
+    matrix product; hypotheses with identical Sigma_k read exactly 0.
     """
-    hyps = [(float(d), i) for d in grid.values for i in range(model.M)]
-    sigmas = [output_covariance(d, model.locations[i], model, k, x_ref=x_ref).Sigma_k
-              for d, i in hyps]
-    chols = [_chol_or_contract(S, f"Sigma_k of hypothesis {q}") for q, S in enumerate(sigmas)]
-    log_dets = [2.0 * float(np.sum(np.log(np.diag(L)))) for L in chols]
-    m = sigmas[0].shape[0]
-    N = len(hyps)
-    D = np.zeros((N, N))
-    for t in range(N):
-        for i in range(N):
-            if t == i:
-                continue
-            W = solve_triangular(chols[i], chols[t], lower=True)
-            D[t, i] = 0.5 * (float(np.sum(W * W)) - m + log_dets[i] - log_dets[t])
-    return D
+    deltas, _, entries = _hypotheses(grid, model.locations)
+    sigmas = _stacked_outputs(model, deltas, entries, k, x_ref)[-1]
+    N, m, _ = sigmas.shape
+    distinct, group = np.unique(sigmas.reshape(N, -1), axis=0, return_inverse=True)
+    try:
+        chols = np.linalg.cholesky(distinct.reshape(-1, m, m))
+    except np.linalg.LinAlgError as exc:
+        for q in range(N):  # name the first offending hypothesis
+            _chol_or_contract(sigmas[q], f"Sigma_k of hypothesis {q}")
+        raise ContractError("Sigma_k must be positive definite") from exc
+    chol_inv = np.linalg.inv(chols)
+    inv = chol_inv.transpose(0, 2, 1) @ chol_inv
+    log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
+    D = 0.5 * (distinct @ inv.reshape(len(distinct), -1).T - m
+               + log_dets[None, :] - log_dets[:, None])
+    np.fill_diagonal(D, 0.0)
+    group = group.reshape(-1)
+    return np.maximum(D, 0.0)[group[:, None], group[None, :]]
 
 
 def loglik_ratio_trajectory(run, t_index: int, i_index: int) -> np.ndarray:

@@ -58,16 +58,13 @@ def _scenario_from_config(cfg: dict) -> Scenario:
                 true_delta=scn["true_delta"],
                 true_loc_index=scn["true_loc_index"],
                 x0_truth=np.asarray(scn["x0_truth"], dtype=float),
-                steps=int(scn["steps"]),
-                seed=int(scn.get("seed", 0)),
+                steps=_integer(scn["steps"], "scenario.steps"),
+                seed=_integer(scn.get("seed", 0), "scenario.seed"),
                 Ts=float(scn.get("Ts", 0.1)),
             )
-        preset_kwargs = {}
-        for key in ("Ts", "q", "r", "sensors", "true_delta", "true_loc_index",
-                    "x0", "steps", "seed", "delta_domain", "P0"):
-            if key in scn:
-                preset_kwargs[key] = scn[key]
-        return tracking_preset(**preset_kwargs)
+        return tracking_preset(**{key: scn[key] for key in (
+            "Ts", "q", "r", "sensors", "true_delta", "true_loc_index",
+            "x0", "steps", "seed", "delta_domain", "P0") if key in scn})
     except KeyError as exc:
         raise ConfigurationError(f"scenario is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -81,11 +78,12 @@ def _object(cfg: dict, key: str) -> dict:
     return value
 
 
-def _integer(cfg: dict, key: str, default: int) -> int:
-    try:
-        return int(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"'{key}' must be an integer: {exc}") from exc
+def _integer(value, name: str) -> int:
+    """``value`` as an int; fractional numbers, booleans and non-numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigurationError(f"'{name}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def _newton_from_config(cfg: dict) -> NewtonOptions:
@@ -205,10 +203,10 @@ def cmd_observability(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
     _validated_model(scenario.model)
     obs_cfg = _object(cfg, "observability")
-    K = _integer(obs_cfg, "K", 10)
+    K = _integer(obs_cfg.get("K", 10), "observability.K")
     if K < 1:
         raise ConfigurationError("observability K must be >= 1")
-    grid_points = _integer(obs_cfg, "grid_points", 101)
+    grid_points = _integer(obs_cfg.get("grid_points", 101), "observability.grid_points")
     tol_cfg = _object(obs_cfg, "tolerance_policy")
     tolerance = RankTolerance(kind=tol_cfg.get("kind", "relative"),
                               value=tol_cfg.get("value"))
@@ -239,6 +237,14 @@ def cmd_observability(cfg: dict, args) -> int:
 def cmd_analyze(cfg: dict, args) -> int:
     if args.input is None:
         raise ConfigurationError("analyze needs --input RECORD_DIR")
+    ana = _object(cfg, "analysis")
+    horizon = _integer(ana.get("horizon", 20), "analysis.horizon")
+    pairs = ana.get("ratio_pairs")
+    if pairs is not None:
+        if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+            raise ConfigurationError("'analysis.ratio_pairs' must be a list of [t, i] pairs")
+        pairs = [[_integer(v, "analysis.ratio_pairs") for v in pair] for pair in pairs]
     try:
         record = load_record(args.input)
     except (OSError, ContractError) as exc:
@@ -247,8 +253,6 @@ def cmd_analyze(cfg: dict, args) -> int:
         raise ConfigurationError(
             f"record {args.input} has no stored likelihoods; run `ssue estimate` first")
     out = _output_dir(cfg)
-    ana = _object(cfg, "analysis")
-    horizon = _integer(ana, "horizon", 20)
     scenario = record.scenario
     model = scenario.model
     M = model.M
@@ -261,12 +265,11 @@ def cmd_analyze(cfg: dict, args) -> int:
         for t in range(M):
             fh.write(labels[t] + "," + ",".join(repr(float(v)) for v in D[t]) + "\n")
 
-    pairs = ana.get("ratio_pairs")
     if pairs is None:
         pairs = [[t, i] for t in range(M) for i in range(M) if t != i]
     for t, i in pairs:
-        traj = loglik_ratio_trajectory(record, int(t), int(i))
-        path = out / f"loglik_ratio_{labels[int(t)]}_vs_{labels[int(i)]}.csv"
+        traj = loglik_ratio_trajectory(record, t, i)
+        path = out / f"loglik_ratio_{labels[t]}_vs_{labels[i]}.csv"
         with path.open("w", newline="") as fh:
             fh.write("step,log_ratio\n")
             for k, v in enumerate(traj):

@@ -119,108 +119,99 @@ class ObservabilityReport:
         }
 
 
-def stack_observability(delta: float, loc: LocationMatrix, A, C, k: int) -> np.ndarray:
-    """Rows C (A + delta L)^j for j = 0..k, stacked into a ((k+1)p) x n matrix."""
+def _hypotheses(grid: DeltaGrid, locations: LocationSet):
+    """Grid-major hypotheses (all locations for the first delta, then the next
+    delta, ...) as deltas (N,), location indices (N,) and entries (N, n, n)."""
+    M = len(locations)
+    locs = np.tile(np.arange(M), len(grid))
+    entries = np.stack([loc.entries for loc in locations])[locs]
+    return np.repeat(grid.values, M), locs, entries
+
+
+def _stack_blocks(deltas, entries, A, C, k: int) -> np.ndarray:
+    """Blocks C (A + delta_q L_q)^j for every hypothesis q and j = 0..k, as an
+    (N, k+1, p, n) array built with k batched matmuls."""
     if k < 0:
         raise ContractError("horizon k must be >= 0")
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = A.shape[0]
-    if A.shape != (n, n) or C.shape[1] != n or loc.n != n:
+    if A.shape != (n, n) or C.shape[1] != n or entries.shape[1:] != (n, n):
         raise ContractError("A, C and the location matrix disagree on dimensions")
-    A_pert = A + float(delta) * loc.entries
-    blocks = np.empty((k + 1, C.shape[0], n))
-    power = np.eye(n)
-    for j in range(k + 1):
-        blocks[j] = C @ power
-        power = A_pert @ power
-    return blocks.reshape((k + 1) * C.shape[0], n)
+    A_pert = A + np.asarray(deltas, dtype=float)[:, None, None] * entries
+    blocks = np.empty((len(A_pert), k + 1, C.shape[0], n))
+    blocks[:, 0] = C
+    for j in range(k):
+        blocks[:, j + 1] = blocks[:, j] @ A_pert
+    return blocks
 
 
-def _batched_ranks(X: np.ndarray, tolerance: RankTolerance) -> np.ndarray:
-    """Numerical ranks of a stack of matrices via singular values."""
-    sv = np.linalg.svd(X, compute_uv=False)
-    cut = tolerance.cutoff(X.shape[-2:], sv[:, 0])
-    return (sv > cut[:, None]).sum(axis=1)
+def stack_observability(delta: float, loc: LocationMatrix, A, C, k: int) -> np.ndarray:
+    """Rows C (A + delta L)^j for j = 0..k, stacked into a ((k+1)p) x n matrix."""
+    blocks = _stack_blocks([float(delta)], loc.entries[None], A, C, k)
+    return blocks.reshape(-1, blocks.shape[-1])
+
+
+def _pair_ranks(stacks: np.ndarray, ia, ib, tolerance: RankTolerance) -> np.ndarray:
+    """Numerical ranks of [stacks[a], stacks[b]] for each pair, via singular
+    values, in chunks of pairs to bound memory."""
+    ranks = np.empty(ia.size, dtype=int)
+    for start in range(0, ia.size, _SVD_CHUNK):
+        part = slice(start, start + _SVD_CHUNK)
+        X = np.concatenate([stacks[ia[part]], stacks[ib[part]]], axis=2)
+        sv = np.linalg.svd(X, compute_uv=False)
+        cut = tolerance.cutoff(X.shape[-2:], sv[:, 0])
+        ranks[part] = (sv > cut[:, None]).sum(axis=1)
+    return ranks
 
 
 def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid, K: int,
                        tolerance: RankTolerance = RankTolerance()) -> ObservabilityReport:
     """Rank-test every unordered pair of distinct (delta, location) hypotheses.
 
-    For each horizon k = 1..K the side-by-side matrix of each still-failing
-    pair is rank-checked against 2n (rank is non-decreasing in k, so pairs
-    that pass once are not retested).  The report carries the smallest k at
-    which every pair passed, or the failing pairs at horizon K.
+    Every pair's side-by-side matrix is rank-checked once at horizon K; the
+    pairs below 2n there are the failures, and no horizon is certified.  Only
+    when every pair passes at K is the smallest passing horizon searched,
+    k = 1..K-1 ascending, retesting just the pairs that have not passed yet
+    (rank is non-decreasing in k).
     """
     if K < 1:
         raise ContractError("horizon K must be >= 1")
-    A = np.asarray(A, dtype=float)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    n = A.shape[0]
-    p = C.shape[0]
+    deltas, locs, entries = _hypotheses(grid, locations)
+    full = _stack_blocks(deltas, entries, A, C, K)
+    N, _, p, n = full.shape
+    full = full.reshape(N, (K + 1) * p, n)
     required = 2 * n
-    M = len(locations)
+    warnings = [
+        "delta=0 collapses the hypotheses: "
+        f"(0, location {i}) and (0, location {j}) share one observability "
+        f"matrix, so combined rank {required} is unreachable"
+        for i, j in zip(*np.triu_indices(len(locations), k=1)) if np.any(grid.values == 0.0)
+    ]
 
-    hyps = [(float(d), i) for d in grid.values for i in range(M)]
-    full = np.stack([
-        stack_observability(d, locations[i], A, C, K) for d, i in hyps
-    ])
-
-    warnings = []
-    if np.any(grid.values == 0.0) and M > 1:
-        for i in range(M):
-            for j in range(i + 1, M):
-                warnings.append(
-                    "delta=0 collapses the hypotheses: "
-                    f"(0, location {i}) and (0, location {j}) share one observability "
-                    f"matrix, so combined rank {required} is unreachable"
-                )
-
-    n_hyp = len(hyps)
-    ia, ib = np.triu_indices(n_hyp, k=1)
-    pool = np.arange(ia.size)
+    ia, ib = np.triu_indices(N, k=1)
+    ranks_at_K = _pair_ranks(full, ia, ib, tolerance)
+    failing = np.flatnonzero(ranks_at_K < required)
     smallest = None
-    ranks_at_K = np.empty(ia.size, dtype=int)
-
-    for k in range(1, K + 1):
-        if pool.size == 0:
-            if smallest is None:
-                smallest = k  # no pairs left (or none to begin with)
-            break
-        rows = (k + 1) * p
-        if rows < required and k < K:
-            continue  # rank <= row count: no pair can reach 2n yet
-        passed = np.zeros(pool.size, dtype=bool)
-        for start in range(0, pool.size, _SVD_CHUNK):
-            chunk = pool[start:start + _SVD_CHUNK]
-            X = np.concatenate(
-                [full[ia[chunk], :rows, :], full[ib[chunk], :rows, :]], axis=2
-            )
-            r = _batched_ranks(X, tolerance)
-            passed[start:start + chunk.size] = r == required
-            if k == K:
-                ranks_at_K[chunk] = r
-        pool = pool[~passed]
-        if pool.size == 0 and smallest is None:
-            smallest = k
-            break
+    if failing.size == 0:
+        smallest = K
+        pool = np.arange(ia.size)
+        for k in range(1, K):
+            rows = (k + 1) * p
+            if pool.size and rows >= required:  # rank <= row count below that
+                pool = pool[_pair_ranks(full[:, :rows], ia[pool], ib[pool], tolerance)
+                            < required]
+            if pool.size == 0:
+                smallest = k
+                break
 
     failures = tuple(
-        PairFailure(
-            delta_a=hyps[ia[q]][0], loc_a=hyps[ia[q]][1],
-            delta_b=hyps[ib[q]][0], loc_b=hyps[ib[q]][1],
-            rank=int(ranks_at_K[q]), required_rank=required,
-        )
-        for q in pool
+        PairFailure(delta_a=float(deltas[a]), loc_a=int(locs[a]), delta_b=float(deltas[b]),
+                    loc_b=int(locs[b]), rank=int(r), required_rank=required)
+        for a, b, r in zip(ia[failing], ib[failing], ranks_at_K[failing])
     )
-    return ObservabilityReport(
-        horizon_tested=K,
-        smallest_passing_N=smallest,
-        failures=failures,
-        tolerance=tolerance,
-        warnings=tuple(warnings),
-    )
+    return ObservabilityReport(horizon_tested=K, smallest_passing_N=smallest,
+                               failures=failures, tolerance=tolerance, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -235,10 +226,11 @@ def reconstruct(Y_star, A, C, locations: LocationSet, grid: DeltaGrid,
                 tol: float = 1e-8) -> ReconstructionResult:
     """Invert a noise-free output stack into (x0, delta, location).
 
-    Scans the hypothesis grid, solves the least-squares problem for x0 via
-    orthogonal factorization, and keeps the candidate with the smallest
-    relative residual.  Residual at or below ``tol`` realizes the membership
-    condition "the stack lies in the column space of the candidate".
+    Solves the least-squares problem for x0 of every hypothesis on the grid
+    in one batched SVD and keeps the candidate with the smallest relative
+    residual (the first one in grid-major order on ties).  Residual at or
+    below ``tol`` realizes the membership condition "the stack lies in the
+    column space of the candidate".
     """
     Y = np.asarray(Y_star, dtype=float).reshape(-1)
     norm_Y = float(np.linalg.norm(Y))
@@ -252,15 +244,18 @@ def reconstruct(Y_star, A, C, locations: LocationSet, grid: DeltaGrid,
         raise ContractError(f"output stack length {Y.size} is not a multiple of p={p}")
     k = Y.size // p - 1
 
-    best = None
-    for d in grid.values:
-        for i in range(len(locations)):
-            O = stack_observability(d, locations[i], A, C, k)
-            x0, *_ = np.linalg.lstsq(O, Y, rcond=None)
-            residual = float(np.linalg.norm(O @ x0 - Y)) / norm_Y
-            if best is None or residual < best.residual:
-                best = ReconstructionResult(x0=x0, delta=float(d), loc_index=i,
-                                            residual=residual)
+    deltas, locs, entries = _hypotheses(grid, locations)
+    O = _stack_blocks(deltas, entries, A, C, k).reshape(deltas.size, Y.size, -1)
+    # Minimum-norm least squares for every candidate at once, with lstsq's
+    # singular-value cutoff eps * max(rows, cols) * sigma_max.
+    U, s, Vt = np.linalg.svd(O, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(O.shape[1:]) * s[:, :1]
+    coef = np.divide(Y @ U, s, out=np.zeros_like(s), where=keep)
+    x0s = (coef[:, None, :] @ Vt)[:, 0]
+    residuals = np.linalg.norm((O @ x0s[:, :, None])[..., 0] - Y, axis=1) / norm_Y
+    q = int(np.argmin(residuals))  # first minimum in grid-major order
+    best = ReconstructionResult(x0=x0s[q], delta=float(deltas[q]), loc_index=int(locs[q]),
+                                residual=float(residuals[q]))
     if best.residual > tol:
         raise NoMatchError(
             f"no hypothesis fits within tolerance {tol:g}; best candidate "

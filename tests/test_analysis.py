@@ -189,6 +189,41 @@ class TestKlSeparation:
         assert D.shape == (3, 3)
         npt.assert_array_equal(np.diag(D), np.zeros(3))
         assert np.all(D >= 0)
+        # delta = 0 makes every location one hypothesis: the whole block reads 0
+        D = kl_separation(model, DeltaGrid(values=[-0.05, 0.0]), 5,
+                          x_ref=tracking_scenario.x0_truth)
+        assert D.shape == (6, 6)
+        npt.assert_array_equal(D[3:, 3:], np.zeros((3, 3)))
+        assert np.all(D >= 0) and np.all(D[:3, 3:] > 0) and np.all(D[3:, :3] > 0)
+
+    def test_matches_pairwise_gaussian_kl(self, tracking_scenario):
+        model = tracking_scenario.model
+        x_ref = tracking_scenario.x0_truth
+        grid = DeltaGrid(values=[-0.2, -0.1, -0.01])
+        k = 5
+        D = kl_separation(model, grid, k, x_ref=x_ref)
+        sigmas = [output_covariance(d, model.locations[i], model, k, x_ref=x_ref).Sigma_k
+                  for d in grid.values for i in range(model.M)]
+        oracle = np.array([[gaussian_kl(St, Si) for Si in sigmas] for St in sigmas])
+        npt.assert_allclose(D, oracle, rtol=1e-10, atol=0)
+
+    def test_non_pd_sigma_names_hypothesis(self):
+        # with no noise, Sigma_1 = O P0 O^T is singular exactly when C A = c C,
+        # which for A = I + delta diag(1, 0) and C = [1, 1] happens at delta = 0
+        import dataclasses
+        model = model_from_json(json.dumps({
+            "A": [[1.0, 0.0], [0.0, 1.0]],
+            "locations": [[[1, 0], [0, 0]]],
+            "delta_domain": [[-0.1, 0.1]],
+            "Q": [[0.01, 0.0], [0.0, 0.01]],
+            "R": [[1.0]],
+            "P0": [[0.5, 0.0], [0.0, 0.5]],
+            "measurement": {"type": "linear", "C": [[1.0, 1.0]]},
+        }))
+        model = dataclasses.replace(model, Q=np.zeros((2, 2)), R=np.zeros((1, 1)))
+        assert kl_separation(model, DeltaGrid(values=[-0.1, 0.05]), 1).shape == (2, 2)
+        with pytest.raises(ContractError, match="hypothesis 1 "):
+            kl_separation(model, DeltaGrid(values=[-0.1, 0.0]), 1)
 
     def test_tracking_true_vs_wrong_strictly_positive(self, tracking_scenario):
         model = tracking_scenario.model

@@ -156,20 +156,37 @@ class TestEstimateCommand:
 
 
 class TestConfigTypes:
-    @pytest.mark.parametrize("command, cfg", [
-        ("observability", {"scenario": {"steps": 10}, "observability": {"K": "ten"}}),
-        ("observability", {"scenario": {"steps": 10}, "observability": {"tolerance_policy": 3}}),
-        ("estimate", {"scenario": {"steps": 10, "seed": "x"}}),
-        ("estimate", {"scenario": {"steps": 2.5}}),
-        ("estimate", {"scenario": {"steps": 10, "true_loc_index": 1.5}}),
-        ("estimate", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}),
-        ("observability", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}),
+    LINEAR_SCENARIO = {"model": LINEAR_MODEL, "true_delta": -0.1, "true_loc_index": 0,
+                       "x0_truth": [1.0, 1.0], "seed": 1}
+
+    @pytest.mark.parametrize("command, cfg, named", [
+        ("observability", {"scenario": {"steps": 10}, "observability": {"K": "ten"}}, "K"),
+        ("observability", {"scenario": {"steps": 10}, "observability": {"tolerance_policy": 3}},
+         "tolerance_policy"),
+        ("estimate", {"scenario": {"steps": 10, "seed": "x"}}, "seed"),
+        ("estimate", {"scenario": {"steps": 2.5}}, "steps"),
+        ("estimate", {"scenario": {"steps": 10, "true_loc_index": 1.5}}, "true_loc_index"),
+        ("estimate", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}, "scenario"),
+        ("observability", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}, "scenario"),
+        ("observability", {"scenario": {"steps": 10}, "observability": {"K": 2.7}},
+         "observability.K"),
+        ("estimate", {"scenario": {**LINEAR_SCENARIO, "steps": 2.5}}, "scenario.steps"),
+        ("estimate", {"scenario": {**LINEAR_SCENARIO, "steps": 10, "seed": True}},
+         "scenario.seed"),
+        ("analyze", {"analysis": {"ratio_pairs": 5}}, "analysis.ratio_pairs"),
+        ("analyze", {"analysis": {"ratio_pairs": [[0]]}}, "analysis.ratio_pairs"),
+        ("analyze", {"analysis": {"ratio_pairs": [[0.5, 1]]}}, "analysis.ratio_pairs"),
     ], ids=["K", "tolerance_policy", "seed", "steps", "true_loc_index",
-            "sensors_estimate", "sensors_observability"])
-    def test_wrong_type_exits_2_without_traceback(self, tmp_path, capsys, command, cfg):
+            "sensors_estimate", "sensors_observability", "K_fractional", "model_steps_fractional",
+            "model_seed_bool", "ratio_pairs_int", "ratio_pairs_short", "ratio_pairs_fractional"])
+    def test_wrong_type_exits_2_without_traceback(self, tmp_path, capsys, command, cfg, named):
         path = write_config(tmp_path, {**cfg, "output_dir": str(tmp_path / "out")})
-        assert main([command, "--config", path]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        # analyze checks its options before it reads the (here absent) record
+        extra = ["--input", str(tmp_path / "record")] if command == "analyze" else []
+        assert main([command, "--config", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
 
 
 class TestReadme:

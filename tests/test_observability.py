@@ -130,21 +130,29 @@ class TestPairwiseRankTest:
 
     def test_report_matches_brute_force_ranks(self, rng):
         A, locations = tracking_matrices()
-        C = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
-        grid = DeltaGrid(values=[-0.2, -0.05])
-        K = 6
-        report = pairwise_rank_test(A, C, locations, grid, K)
-        # brute force every pair at horizon K with the default rank rule
-        hyps = [(d, i) for d in grid.values for i in range(len(locations))]
-        failing = set()
-        for a in range(len(hyps)):
-            for b in range(a + 1, len(hyps)):
-                Oa = stack_observability(hyps[a][0], locations[hyps[a][1]], A, C, K)
-                Ob = stack_observability(hyps[b][0], locations[hyps[b][1]], A, C, K)
-                if np.linalg.matrix_rank(np.hstack([Oa, Ob])) < 8:
-                    failing.add((hyps[a], hyps[b]))
-        got = {((f.delta_a, f.loc_a), (f.delta_b, f.loc_b)) for f in report.failures}
-        assert got == failing
+        A2, C2, locations2 = two_state_example()
+        cases = [  # every pair fails; 2 of 6 pairs fail (same location, other delta)
+            (A, np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]]), locations, [-0.2, -0.05], 6),
+            (A2, C2, locations2, [-0.1, -0.05], 3),
+        ]
+        for A, C, locations, values, K in cases:
+            grid = DeltaGrid(values=values)
+            report = pairwise_rank_test(A, C, locations, grid, K)
+            # brute force every pair at horizon K with the default rank rule
+            hyps = [(d, i) for d in grid.values for i in range(len(locations))]
+            failing = {}
+            for a in range(len(hyps)):
+                for b in range(a + 1, len(hyps)):
+                    Oa = stack_observability(hyps[a][0], locations[hyps[a][1]], A, C, K)
+                    Ob = stack_observability(hyps[b][0], locations[hyps[b][1]], A, C, K)
+                    rank = np.linalg.matrix_rank(np.hstack([Oa, Ob]))
+                    if rank < 2 * A.shape[0]:
+                        failing[(hyps[a], hyps[b])] = rank
+            got = {((f.delta_a, f.loc_a), (f.delta_b, f.loc_b)): f.rank
+                   for f in report.failures}
+            assert got == failing
+            assert failing and report.smallest_passing_N is None
+        assert len(failing) < len(hyps) * (len(hyps) - 1) // 2  # some pairs pass
 
     def test_tracking_structural_degeneracies(self):
         """Hypothesis pairs of the tracking preset that can never reach rank 2n:
@@ -250,3 +258,31 @@ class TestReconstruct:
     def test_bad_stack_length_is_contract_error(self):
         with pytest.raises(ContractError):
             reconstruct(np.ones(7), self.A, np.eye(4), self.locations, self.grid)
+
+    def test_matches_per_candidate_lstsq(self, rng):
+        """The per-candidate lstsq loop is the oracle: same first-minimum
+        candidate, same minimum-norm x0, also where every stack is rank
+        deficient (one output row at k=1)."""
+        # [1, 1] is a left eigenvector of every A + delta I below, so each 2x2
+        # stack is rank 1 up to a singular value of about 1e-17 that lstsq cuts
+        A2 = np.array([[0.6, 0.1], [0.1, 0.6]])
+        solo = LocationSet((LocationMatrix(np.eye(2)),))
+        cases = [(self.A, self.C, self.locations, self.grid, 10)] * 20 + [
+            (A2, np.array([[0.1, 0.1]]), solo, DeltaGrid(values=[-0.3, -0.1, -0.05]), 1),
+        ] * 10
+        for A, C, locations, grid, k in cases:
+            d = float(rng.choice(grid.values))
+            i = int(rng.integers(len(locations)))
+            Y = stack_observability(d, locations[i], A, C, k) @ rng.normal(0, 3, A.shape[0])
+            best = None
+            for dc in grid.values:
+                for ic in range(len(locations)):
+                    O = stack_observability(dc, locations[ic], A, C, k)
+                    x0 = np.linalg.lstsq(O, Y, rcond=None)[0]
+                    residual = np.linalg.norm(O @ x0 - Y) / np.linalg.norm(Y)
+                    if best is None or residual < best[3]:
+                        best = (dc, ic, x0, residual)
+            out = reconstruct(Y, A, C, locations, grid, tol=1e-8)
+            assert (out.delta, out.loc_index) == (best[0], best[1])
+            npt.assert_allclose(out.x0, best[2], rtol=1e-12, atol=1e-12 * np.linalg.norm(Y))
+            assert out.residual == pytest.approx(best[3], abs=1e-12)
