@@ -69,6 +69,7 @@ from .sim import (
     RunMetrics,
     RunRecord,
     Scenario,
+    estimate_batch,
     load_record,
     monte_carlo,
     run_estimation,

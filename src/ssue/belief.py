@@ -23,27 +23,30 @@ PD_JITTER = 1e-12
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """Average away floating-point asymmetry; applied after every covariance op."""
-    return 0.5 * (M + M.T)
+    """Average away floating-point asymmetry (of each matrix of a stack)."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 def ensure_spd(M: np.ndarray, context: str = "covariance") -> np.ndarray:
     """Symmetrize and, if needed, jitter a covariance so Cholesky can succeed.
 
-    Raises :class:`NumericalFailureError` when the matrix is indefinite beyond
-    the documented tolerance.
+    Each matrix of a stack ``(..., m, m)`` is checked and jittered on its own.
+    Raises :class:`NumericalFailureError` when a matrix is indefinite beyond
+    the documented tolerance, naming its flat position in a stack as ``hypothesis``.
     """
     M = symmetrize(np.asarray(M, dtype=float))
-    eigs = np.linalg.eigvalsh(M)
-    eig_min, eig_max = float(eigs[0]), float(eigs[-1])
-    scale = max(abs(eig_max), 1.0)
-    if eig_min < -PSD_REL_TOL * scale:
+    m = M.shape[-1]
+    eigs = np.linalg.eigvalsh(M).reshape(-1, m)
+    eig_min, eig_max = eigs[:, 0], eigs[:, -1]
+    indefinite = eig_min < -PSD_REL_TOL * np.maximum(np.abs(eig_max), 1.0)
+    if np.any(indefinite):
+        row = int(np.argmax(indefinite))
+        info = {"eig_min": float(eig_min[row]), "eig_max": float(eig_max[row])}
+        if M.ndim > 2:
+            info["hypothesis"] = row
         raise NumericalFailureError(
-            f"{context} is indefinite (min eigenvalue {eig_min:.3e})",
-            context={"eig_min": eig_min, "eig_max": eig_max},
-        )
-    if eig_min <= 0.0:
-        M = M + PD_JITTER * np.eye(M.shape[0])
+            f"{context} is indefinite (min eigenvalue {eig_min[row]:.3e})", context=info)
+    M.reshape(-1, m, m)[eig_min <= 0.0] += PD_JITTER * np.eye(m)
     return M
 
 

@@ -33,6 +33,7 @@ from .sim import (
     RunMetrics,
     RunRecord,
     Scenario,
+    estimate_batch,
     load_record,
     run_estimation,
     run_metrics,
@@ -177,9 +178,11 @@ def cmd_estimate(cfg: dict, args) -> int:
     if args.input is not None:
         raise ConfigurationError("--input and --runs cannot be combined")
     per_run = []
-    for i in range(runs):
-        record = run_estimation(replace(scenario, seed=scenario.seed + i), opts)
-        per_run.append(_save_run(record, out / f"run_{i:03d}"))
+    scenarios = [replace(scenario, seed=scenario.seed + i) for i in range(runs)]
+    for i, outcome in enumerate(estimate_batch(scenarios, opts)):
+        if isinstance(outcome, NumericalFailureError):
+            raise outcome  # the runs of lower seeds are written, as in a seed-by-seed loop
+        per_run.append(_save_run(outcome, out / f"run_{i:03d}"))
     summary = MetricsSummary.from_runs(per_run)
     (out / "aggregate.json").write_text(json.dumps(summary.to_dict(), indent=2))
     print(f"{runs} runs: success rate {summary.success_rate:.2f}; outputs in {out}")

@@ -6,6 +6,9 @@ and an iterative MAP measurement update (Newton or Gauss-Newton on the
 negative log posterior).  Location probabilities are then reweighted by the
 likelihoods and the bank is collapsed to a fused estimate.
 
+One stacked kernel, ``_step_rows``, does all of this for B = runs x M rows at
+once; rows never mix, so a run's numbers are bit-identical alone or in a batch.
+
 Likelihoods are handled in log domain throughout.
 """
 
@@ -15,14 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import (
-    HypothesisBank,
-    JointBelief,
-    ensure_spd,
-    fuse,
-    identify_location,
-    symmetrize,
-)
+from .belief import HypothesisBank, JointBelief, ensure_spd, fuse, symmetrize
 from .errors import ContractError, DegenerateEvidenceError, NumericalFailureError
 from .model import LocationMatrix, MeasurementMap, SystemModel
 
@@ -100,16 +96,27 @@ def initial_bank(model: SystemModel) -> HypothesisBank:
     return HypothesisBank(beliefs=(belief,) * model.M, weights=weights)
 
 
-def _cholesky_or_none(M: np.ndarray):
+def _bank_rows(bank: HypothesisBank):
+    """A bank as the stacked rows of one run: means, covariances and weights."""
+    return (np.stack([b.xi_mean for b in bank.beliefs])[None],
+            np.stack([b.xi_cov for b in bank.beliefs])[None], bank.weights[None])
+
+
+def _q_singular(Q: np.ndarray) -> bool:
     try:
-        return np.linalg.cholesky(M)
+        np.linalg.cholesky(symmetrize(Q))
     except np.linalg.LinAlgError:
-        return None
+        return True
+    return False
 
 
-def _inverse_cholesky(M: np.ndarray) -> np.ndarray:
-    """L^{-1} for the lower Cholesky factor L of M, so that M^{-1} = L^{-T} L^{-1}."""
-    return np.linalg.inv(np.linalg.cholesky(M))
+def _model_constants(model: SystemModel):
+    """R^{-1/2}, "Q is singular" and the stacked locations, kept on the (immutable) model."""
+    if "_filter_constants" not in model.__dict__:
+        LR_inv = np.linalg.inv(np.linalg.cholesky(ensure_spd(model.R, "measurement noise")))
+        locations = np.stack([loc.entries for loc in model.locations])
+        object.__setattr__(model, "_filter_constants", (LR_inv, _q_singular(model.Q), locations))
+    return model.__dict__["_filter_constants"]
 
 
 def _measurement_vector(y, p: int) -> np.ndarray:
@@ -122,6 +129,193 @@ def _measurement_vector(y, p: int) -> np.ndarray:
     return y
 
 
+# Stacked stages over rows (leading axis); a failing row is named as ``hypothesis``.
+
+def _mv(A, x):
+    return (A @ x[..., None])[..., 0]  # row-wise matrix-vector product
+
+
+def _dot(a, b):
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # row-wise inner product
+
+
+def _map_call(fn, X: np.ndarray, tail: tuple, name: str) -> np.ndarray:
+    """One measurement-map call on a state stack, checked against the stack contract."""
+    out = np.asarray(fn(X), dtype=float)
+    if out.shape != X.shape[:-1] + tail:
+        raise ContractError(f"measurement map {name} returned shape {out.shape}, "
+                            f"not {X.shape[:-1] + tail}")
+    return out
+
+
+def _rowwise(solve, M: np.ndarray, what: str, jitter: float, diagnose) -> np.ndarray:
+    """``solve(M[rows], rows)`` for all rows, else row by row with a ``jitter`` retry."""
+    try:
+        return solve(M, slice(None))
+    except np.linalg.LinAlgError:
+        pass
+    out = []
+    for b in range(M.shape[0]):
+        rows = slice(b, b + 1)
+        for attempt in (M[rows], M[rows] + jitter * np.eye(M.shape[-1]))[:1 + (jitter > 0.0)]:
+            try:
+                out.append(solve(attempt, rows)[0])
+                break
+            except np.linalg.LinAlgError:
+                continue
+        else:
+            raise NumericalFailureError(what, context={"hypothesis": b, **diagnose(M[b])})
+    return np.stack(out)
+
+
+def _cholesky_rows(M: np.ndarray, what: str, jitter: float = 0.0) -> np.ndarray:
+    return _rowwise(lambda A, rows: np.linalg.cholesky(A), M, f"{what} is not positive definite",
+                    jitter, lambda A: {"eig_min": float(np.linalg.eigvalsh(symmetrize(A))[0])})
+
+
+def _predict_rows(xi, P, L, A, Q):
+    """:func:`predict` of rows (B, n+1), (B, n+1, n+1) with locations L (B, n, n)."""
+    delta, x = xi[:, :1], xi[:, 1:]
+    A_pert = A + delta[:, :, None] * L
+    F = np.zeros(P.shape)
+    F[:, 0, 0] = 1.0
+    F[:, 1:, 0] = _mv(L, x)
+    F[:, 1:, 1:] = A_pert
+    predicted = F @ P @ np.swapaxes(F, -1, -2)
+    predicted[:, 1:, 1:] += Q
+    return (np.concatenate([delta, _mv(A_pert, x)], axis=1),
+            ensure_spd(predicted, "predicted joint covariance"))
+
+
+def _innovation_rows(xi_pred, P_pred, y, measurement_map, R):
+    """:func:`log_likelihood` of rows, plus h and C at the predicted means."""
+    x, p = xi_pred[:, 1:], y.shape[-1]
+    C = _map_call(measurement_map.jacobian, x, (p, x.shape[-1]), "jacobian")
+    h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
+    Gamma = ensure_spd(C @ P_pred[:, 1:, 1:] @ np.swapaxes(C, -1, -2) + R, "innovation covariance")
+    L = _cholesky_rows(Gamma, "innovation covariance")
+    z = np.linalg.solve(L, (y - h)[..., None])[..., 0]
+    log_det = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    return -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(z, z)), h, C
+
+
+def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
+    """One report per row; row b's cost trajectory is costs[:iterations[b] + 1, b]."""
+    return tuple(UpdateReport(int(it), float(costs[it, b]), tuple(costs[:it + 1, b].tolist()),
+                              bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
+
+
+def _update_rows(xi_pred, P_pred, y, measurement_map, LR_inv, opts, h, C):
+    """:func:`newton_update` of B rows from h and C at the predicted means; a row
+    that converges or stalls leaves the active set and does no further work."""
+    (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
+    LP_inv = np.linalg.inv(_cholesky_rows(P_pred, "predicted joint covariance"))
+
+    def residual(xi, y, LP_inv, xi_pred, hx=None):
+        hx = _map_call(measurement_map.evaluate, xi[:, 1:], (p,), "evaluate") if hx is None else hx
+        return np.concatenate([_mv(LR_inv, y - hx), _mv(LP_inv, xi - xi_pred)], axis=1)
+
+    xi = xi_pred.copy()
+    r = residual(xi, y, LP_inv, xi_pred, h)
+    cost = _dot(r, r)
+    costs = np.vstack([cost, np.full((opts.max_iterations, B), np.nan)])
+    iterations, converged = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
+    C = np.array(C)
+    # Stacked Jacobian of the residual: [0, -LR^{-1} C] over the constant LP^{-1}.
+    J = np.zeros((B, p + n1, n1))
+    J[:, p:] = LP_inv
+    act = np.arange(B)
+    for t in range(opts.max_iterations):
+        if t:  # every active row moved in the last round
+            C[act] = _map_call(measurement_map.jacobian, xi[act, 1:], (p, n), "jacobian")
+        Ja = J[act]
+        Ja[:, :p, 1:] = -(LR_inv @ C[act])
+        Jt = np.swapaxes(Ja, -1, -2)
+        xa, ra, ca, ya, LPa, xpa = xi[act], r[act], cost[act], y[act], LP_inv[act], xi_pred[act]
+        g, N = _mv(Jt, ra), Jt @ Ja
+        if opts.mode == "full_newton":
+            # residual curvature -sum_m w_m Hess(h_m), w = R^{-1} (y - h(x))
+            hess = _map_call(measurement_map.hessian, xa[:, 1:], (p, n, n), "hessian")
+            w = _mv(LR_inv.T, ra[:, :p])
+            N[:, 1:, 1:] -= (w[:, None, :] @ hess.reshape(-1, p, n * n)).reshape(-1, n, n)
+        d = _rowwise(lambda A, rows: np.linalg.solve(A, -g[rows, :, None])[..., 0], N,
+                     "singular normal-equations matrix in the MAP update even after jitter",
+                     NORMAL_EQUATION_JITTER, lambda A: {"condition": float(np.linalg.cond(A))})
+
+        step, new = d, xa + d
+        rn = residual(new, ya, LPa, xpa)
+        cn = _dot(rn, rn)
+        ok = np.ones(act.size, dtype=bool) if opts.line_search == "none" else cn <= ca
+        if not ok.all():
+            # backtracking; every row still searching is at the same step fraction
+            step, alpha = d.copy(), 1.0
+            search = [np.flatnonzero(~ok), d[~ok], xa[~ok], ya[~ok], LPa[~ok], xpa[~ok], ca[~ok]]
+            for _ in range(LINE_SEARCH_MAX_HALVINGS):
+                alpha *= LINE_SEARCH_CONTRACTION
+                s, ds, xs, ys, LPs, xps, cs = search
+                trial = alpha * ds
+                cand = xs + trial
+                r_cand = residual(cand, ys, LPs, xps)
+                c_cand = _dot(r_cand, r_cand)
+                good = c_cand <= cs
+                if good.any():
+                    hit = s[good]
+                    for full, part in ((step, trial), (new, cand), (rn, r_cand), (cn, c_cand)):
+                        full[hit] = part[good]
+                    ok[hit] = True
+                    if good.all():
+                        break
+                    search = [a[~good] for a in search]
+        # rows with no non-increasing step keep their current iterate and stop
+        moved = act[ok]
+        xi[moved], r[moved], cost[moved] = new[ok], rn[ok], cn[ok]
+        iterations[moved] += 1
+        costs[iterations[moved], moved] = cn[ok]
+        done = np.sqrt(_dot(step[ok], step[ok])) < opts.step_tolerance
+        converged[moved[done]] = True
+        act = moved[~done]
+        if not act.size:
+            break
+
+    moved_last = converged.copy()  # rows that stalled kept the iterate C was evaluated at
+    moved_last[act] = True
+    if moved_last.any():
+        C[moved_last] = _map_call(measurement_map.jacobian, xi[moved_last, 1:], (p, n), "jacobian")
+    W = LR_inv @ C
+    info = np.swapaxes(LP_inv, -1, -2) @ LP_inv
+    info[:, 1:, 1:] += np.swapaxes(W, -1, -2) @ W
+    L_info_inv = np.linalg.inv(_cholesky_rows(symmetrize(info), "posterior information matrix",
+                                              NORMAL_EQUATION_JITTER))
+    P_post = symmetrize(np.swapaxes(L_info_inv, -1, -2) @ L_info_inv)
+    return xi, P_post, iterations, costs, converged
+
+
+def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions, weight_floor: float):
+    """The stacked kernel: one filter step of R runs of one model, from means
+    (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
+    (R, p), to posterior rows, weights, log likelihoods, fused means,
+    identified indices and the raw :func:`_update_rows` result."""
+    (R_runs, M), n1 = mu.shape, xi.shape[-1]
+    LR_inv, q_singular, locations = _model_constants(model)
+    Q = model.Q + opts.q_jitter * np.eye(model.n) if q_singular and opts.q_jitter else model.Q
+    Y = np.repeat(y, M, axis=0)
+    try:
+        xi_pred, P_pred = _predict_rows(xi.reshape(-1, n1), P.reshape(-1, n1, n1),
+                                        np.concatenate([locations] * R_runs), model.A, Q)
+        ll, h, C = _innovation_rows(xi_pred, P_pred, Y, model.map, model.R)
+        upd = _update_rows(xi_pred, P_pred, Y, model.map, LR_inv, opts, h, C)
+    except NumericalFailureError as exc:
+        if "hypothesis" in exc.context:  # the failing row's position in the stack
+            exc.context["hypothesis"] %= M
+        raise
+    mu_new = update_weights_log(mu, ll.reshape(R_runs, M), weight_floor)
+    xi_post = upd[0].reshape(xi.shape)
+    return (xi_post, upd[1].reshape(P.shape), mu_new, ll.reshape(R_runs, M),
+            (mu_new[:, None, :] @ xi_post)[:, 0], np.argmax(mu_new, axis=-1), upd)
+
+
+# Public per-belief API: the one-row case of the stacked stages.
+
 def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarray,
             q_jitter: float = 1e-9) -> JointBelief:
     """Propagate a joint belief one step through x+ = (A + delta * L) x + w.
@@ -131,37 +325,13 @@ def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarr
     perturbation mean and variance carry over unchanged.
     """
     n = belief.n
-    A = np.asarray(A, dtype=float)
-    Q = np.asarray(Q, dtype=float)
+    A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
     if A.shape != (n, n) or Q.shape != (n, n) or loc.n != n:
         raise ContractError("prediction inputs disagree on the state dimension")
-    if q_jitter > 0.0 and _cholesky_or_none(symmetrize(Q)) is None:
+    if q_jitter > 0.0 and _q_singular(Q):
         Q = Q + q_jitter * np.eye(n)
-
-    A_pert = A + belief.delta_mean * loc.entries
-    F = np.zeros((n + 1, n + 1))
-    F[0, 0] = 1.0
-    F[1:, 0] = loc.entries @ belief.x_mean
-    F[1:, 1:] = A_pert
-
-    predicted = F @ belief.xi_cov @ F.T
-    predicted[1:, 1:] += Q
-    predicted = ensure_spd(predicted, "predicted joint covariance")
-    return JointBelief(np.concatenate(([belief.delta_mean], A_pert @ belief.x_mean)), predicted)
-
-
-def _solve_step(N: np.ndarray, g: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(N, -g)
-    except np.linalg.LinAlgError:
-        pass
-    try:
-        return np.linalg.solve(N + NORMAL_EQUATION_JITTER * np.eye(N.shape[0]), -g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(
-            "singular normal-equations matrix in the MAP update even after jitter",
-            context={"condition": float(np.linalg.cond(N))},
-        ) from exc
+    xi, P = _predict_rows(belief.xi_mean[None], belief.xi_cov[None], loc.entries[None], A, Q)
+    return JointBelief(xi[0], P[0])
 
 
 def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,
@@ -174,87 +344,22 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
 
     starting from the prediction, where the matrix square roots are lower
     Cholesky factors (the iterate only depends on them through R^{-1} and
-    P^{-1}, so the factor choice is immaterial).  The posterior covariance is
+    P^{-1}, so the factor choice is immaterial); Gauss-Newton on it is the
+    iterated EKF update (Bell & Cathey 1993).  The posterior covariance is
     the inverse Fisher information [H + P_pred^{-1}]^{-1} with
     H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.  Full Newton
     needs the map's ``hessian``.
     """
     if opts.mode == "full_newton" and measurement_map.hessian is None:
         raise ContractError("full_newton mode needs a measurement map with a hessian")
-    p = measurement_map.output_dim
-    y = _measurement_vector(y, p)
-    n1 = pred.n + 1
-    xi_pred = pred.xi_mean
-    LP_inv = _inverse_cholesky(ensure_spd(pred.xi_cov, "predicted joint covariance"))
-    LR_inv = _inverse_cholesky(ensure_spd(R, "measurement noise covariance"))
-
-    def residual(xi):
-        return np.concatenate([LR_inv @ (y - measurement_map.evaluate(xi[1:])),
-                               LP_inv @ (xi - xi_pred)])
-
-    xi = xi_pred.copy()
-    r = residual(xi)
-    costs = [float(r @ r)]
-    iterations = 0
-    converged = False
-    # Stacked Jacobian of the residual: [0, -LR^{-1} C] over the constant LP^{-1}.
-    J = np.zeros((p + n1, n1))
-    J[p:] = LP_inv
-
-    for _ in range(opts.max_iterations):
-        J[:p, 1:] = -(LR_inv @ measurement_map.jacobian(xi[1:]))
-        g = J.T @ r
-        N = J.T @ J
-        if opts.mode == "full_newton":
-            # residual curvature -sum_m w_m Hess(h_m), w = R^{-1} (y - h(x))
-            hess = np.asarray(measurement_map.hessian(xi[1:]), dtype=float)
-            N[1:, 1:] -= np.einsum("m,mij->ij", LR_inv.T @ r[:p], hess)
-        d = _solve_step(N, g)
-
-        if opts.line_search == "none":
-            xi_new = xi + d
-            r_new = residual(xi_new)
-            step = d
-        else:
-            alpha = 1.0
-            step = None
-            for _ in range(LINE_SEARCH_MAX_HALVINGS + 1):
-                cand = xi + alpha * d
-                r_cand = residual(cand)
-                if float(r_cand @ r_cand) <= costs[-1]:
-                    xi_new, r_new, step = cand, r_cand, alpha * d
-                    break
-                alpha *= LINE_SEARCH_CONTRACTION
-            if step is None:
-                break  # no non-increasing step exists; keep the current iterate
-
-        xi, r = xi_new, r_new
-        costs.append(float(r @ r))
-        iterations += 1
-        if np.linalg.norm(step) < opts.step_tolerance:
-            converged = True
-            break
-
-    W = LR_inv @ measurement_map.jacobian(xi[1:])
-    info = LP_inv.T @ LP_inv
-    info[1:, 1:] += W.T @ W
-    info = symmetrize(info)
-    L_info = _cholesky_or_none(info)
-    if L_info is None:
-        L_info = _cholesky_or_none(info + NORMAL_EQUATION_JITTER * np.eye(n1))
-    if L_info is None:
-        raise NumericalFailureError("posterior information matrix is not positive definite",
-                                    context={"eig_min": float(np.linalg.eigvalsh(info)[0])})
-    L_info_inv = np.linalg.inv(L_info)
-    P_post = L_info_inv.T @ L_info_inv
-
-    report = UpdateReport(
-        iterations_used=iterations,
-        final_cost=costs[-1],
-        cost_trajectory=tuple(costs),
-        converged=converged,
-    )
-    return JointBelief(xi, P_post), report
+    p, x = measurement_map.output_dim, pred.x_mean[None]
+    y = _measurement_vector(y, p)[None]
+    C = _map_call(measurement_map.jacobian, x, (p, pred.n), "jacobian")
+    h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
+    LR_inv = np.linalg.inv(np.linalg.cholesky(ensure_spd(R, "measurement noise covariance")))
+    P_pred = ensure_spd(pred.xi_cov[None], "predicted joint covariance")
+    xi, P, *rows = _update_rows(pred.xi_mean[None], P_pred, y, measurement_map, LR_inv, opts, h, C)
+    return JointBelief(xi[0], P[0]), _reports(*rows)[0]
 
 
 def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,
@@ -264,36 +369,33 @@ def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: Measuremen
     Gaussian with mean h(x_pred) and covariance C P^x C^T + R, with C the
     measurement Jacobian at the predicted state mean.
     """
-    y = _measurement_vector(y, measurement_map.output_dim)
-    C = measurement_map.jacobian(pred.x_mean)
-    nu = y - measurement_map.evaluate(pred.x_mean)
-    Gamma = ensure_spd(C @ pred.p_x @ C.T + np.asarray(R, dtype=float),
-                       "innovation covariance")
-    L = np.linalg.cholesky(Gamma)
-    z = np.linalg.solve(L, nu)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return -0.5 * (y.shape[0] * np.log(2.0 * np.pi) + log_det + float(z @ z))
+    y = _measurement_vector(y, measurement_map.output_dim)[None]
+    ll, _, _ = _innovation_rows(pred.xi_mean[None], pred.xi_cov[None], y, measurement_map,
+                                np.asarray(R, dtype=float))
+    return float(ll[0])
 
 
 def update_weights_log(mu_prev, log_lambdas, floor: float = DEFAULT_WEIGHT_FLOOR) -> np.ndarray:
-    """Bayes update of the location probabilities from log evidences."""
-    mu = np.asarray(mu_prev, dtype=float).reshape(-1)
-    ll = np.asarray(log_lambdas, dtype=float).reshape(-1)
+    """Bayes update of the location probabilities from log evidences; stacks
+    (R, M) of weights and log evidences are updated one run (row) at a time."""
+    mu, ll = np.asarray(mu_prev, dtype=float), np.asarray(log_lambdas, dtype=float)
+    if mu.ndim != 2:
+        mu, ll = mu.reshape(-1), ll.reshape(-1)
     if mu.shape != ll.shape:
         raise ContractError("weights and likelihoods must have equal length")
-    if np.any(mu < 0.0) or abs(float(mu.sum()) - 1.0) > 1e-12:
-        raise ContractError(f"weights must form a simplex, got sum {mu.sum()!r}")
+    if np.any(mu < 0.0) or np.any(np.abs(mu.sum(axis=-1) - 1.0) > 1e-12):
+        raise ContractError(f"weights must form a simplex, got sum {mu.sum(axis=-1)!r}")
     with np.errstate(divide="ignore"):
         log_post = ll + np.log(mu)
     finite = np.isfinite(log_post)
-    if not np.any(finite):
+    if not finite.any(axis=-1).all():
         raise DegenerateEvidenceError("all hypotheses received zero evidence")
-    shifted = np.exp(log_post - np.max(log_post[finite]))
-    shifted[~finite] = 0.0
-    mu_new = shifted / shifted.sum()
+    top = np.max(np.where(finite, log_post, -np.inf), axis=-1, keepdims=True)
+    shifted = np.where(finite, np.exp(log_post - top), 0.0)
+    mu_new = shifted / shifted.sum(axis=-1, keepdims=True)
     if floor > 0.0:
         mu_new = np.maximum(mu_new, floor)
-        mu_new = mu_new / mu_new.sum()
+        mu_new = mu_new / mu_new.sum(axis=-1, keepdims=True)
     return mu_new
 
 
@@ -304,58 +406,35 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
     then weight update, location identification and fusion.
 
     The likelihood is evaluated on the predicted belief, so it is independent
-    of the MAP update outcome.
+    of the MAP update outcome.  One run (B = M rows) of the stacked kernel.
     """
     if bank.M != model.M:
         raise ContractError(f"bank has {bank.M} hypotheses, model has {model.M} locations")
     try:
         y = _measurement_vector(y, model.map.output_dim)
-    except ContractError as exc:
+        xi, P, mu, ll, _, identified, upd = _step_rows(
+            *_bank_rows(bank), y[None], model, opts, weight_floor)
+    except (ContractError, NumericalFailureError) as exc:
         if step is not None:
             exc.context.setdefault("step", step)
         raise
-    posteriors = []
-    log_lams = []
-    reports = []
-    for i, (b, loc) in enumerate(zip(bank.beliefs, model.locations)):
-        try:
-            pred = predict(b, loc, model.A, model.Q, q_jitter=opts.q_jitter)
-            log_lams.append(log_likelihood(pred, y, model.map, model.R))
-            post, rep = newton_update(pred, y, model.map, model.R, opts)
-        except NumericalFailureError as exc:
-            exc.context.setdefault("hypothesis", i)
-            if step is not None:
-                exc.context.setdefault("step", step)
-            raise
-        posteriors.append(post)
-        reports.append(rep)
-    try:
-        mu = update_weights_log(bank.weights, log_lams, floor=weight_floor)
-    except DegenerateEvidenceError as exc:
-        if step is not None:
-            exc.context.setdefault("step", step)
-        raise
-    new_bank = HypothesisBank(beliefs=tuple(posteriors), weights=mu)
-    log_lams = np.asarray(log_lams)
-    return StepResult(
-        bank=new_bank,
-        fused=fuse(new_bank),
-        identified_index=identify_location(new_bank),
-        log_lambdas=log_lams,
-        reports=tuple(reports),
-    )
+    new_bank = HypothesisBank(tuple(map(JointBelief, xi[0], P[0])), mu[0])
+    return StepResult(new_bank, fuse(new_bank), int(identified[0]), ll[0], _reports(*upd[2:]))
 
 
 def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
-    """Extended Kalman filter step on the nominal model (perturbation ignored)."""
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    y = _measurement_vector(y, model.map.output_dim)
-    m_pred = model.A @ mean
+    """Extended Kalman filter step on the nominal model (perturbation ignored).
+
+    Also steps R runs at once: means (R, n), covariances (R, n, n), measurements (R, p).
+    """
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
+    y = np.asarray(y, dtype=float) if mean.ndim > 1 else _measurement_vector(y, model.p)
+    m_pred = _mv(model.A, mean)
     P_pred = symmetrize(model.A @ cov @ model.A.T + model.Q)
-    C = model.map.jacobian(m_pred)
-    LS_inv = _inverse_cholesky(ensure_spd(C @ P_pred @ C.T + model.R,
-                                          "EKF innovation covariance"))
-    K = P_pred @ (LS_inv @ C).T @ LS_inv
-    mean_post = m_pred + K @ (y - model.map.evaluate(m_pred))
-    cov_post = symmetrize((np.eye(mean.shape[0]) - K @ C) @ P_pred)
-    return mean_post, cov_post
+    C = _map_call(model.map.jacobian, m_pred, (model.p, model.n), "jacobian")
+    S = ensure_spd(C @ P_pred @ np.swapaxes(C, -1, -2) + model.R, "EKF innovation covariance")
+    LS = _cholesky_rows(S.reshape(-1, model.p, model.p), "EKF innovation covariance")
+    LS_inv = np.linalg.inv(LS.reshape(S.shape))
+    K = P_pred @ np.swapaxes(LS_inv @ C, -1, -2) @ LS_inv
+    nu = y - _map_call(model.map.evaluate, m_pred, (model.p,), "evaluate")
+    return m_pred + _mv(K, nu), symmetrize((np.eye(model.n) - K @ C) @ P_pred)

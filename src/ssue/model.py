@@ -128,10 +128,13 @@ class UncertaintyDomain:
 class MeasurementMap:
     """Measurement function h with its Jacobian and (optionally) Hessians.
 
-    ``evaluate(x)`` returns the p-vector h(x); ``jacobian(x)`` the p x n matrix
-    of partials; ``hessian(x)``, when present, a (p, n, n) array holding one
-    symmetric Hessian per output component.  Full Newton
-    (``NewtonOptions(mode="full_newton")``) needs it; Gauss-Newton does not.
+    Each function takes a state ``(n,)`` or a stack of states ``(..., n)``
+    and works row by row: ``evaluate`` gives h(x) ``(..., p)``, ``jacobian``
+    the partials ``(..., p, n)`` and ``hessian``, when present, one symmetric
+    Hessian per output ``(..., p, n, n)``.  The filter calls each once per
+    stage for all rows and rejects a wrongly shaped result (``ContractError``).
+    Full Newton (``NewtonOptions(mode="full_newton")``) needs ``hessian``;
+    Gauss-Newton does not.
     """
 
     output_dim: int
@@ -151,9 +154,9 @@ def linear_map(C) -> MeasurementMap:
     zero_hess.setflags(write=False)
     return MeasurementMap(
         output_dim=p,
-        evaluate=lambda x: C @ np.asarray(x, dtype=float),
-        jacobian=lambda x: C,
-        hessian=lambda x: zero_hess,
+        evaluate=lambda x: (C @ np.asarray(x, dtype=float)[..., None])[..., 0],
+        jacobian=lambda x: np.broadcast_to(C, np.shape(x)[:-1] + (p, n)),
+        hessian=lambda x: np.broadcast_to(zero_hess, np.shape(x)[:-1] + (p, n, n)),
     )
 
 
@@ -181,43 +184,40 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
 
     def _offsets(x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (state_dim,):
-            raise ConfigurationError(f"state must have shape ({state_dim},), got {x.shape}")
-        d = x[[ix, iy]] - sensors
-        return d, np.hypot(d[:, 0], d[:, 1])
+        if x.shape[-1:] != (state_dim,):
+            raise ConfigurationError(f"state must have shape (..., {state_dim}), got {x.shape}")
+        dx, dy = x[..., ix, None] - sensors[:, 0], x[..., iy, None] - sensors[:, 1]
+        return dx, dy, np.hypot(dx, dy)
 
     def evaluate(x):
-        _, r = _offsets(x)
-        return r
+        return _offsets(x)[2]
 
     def _guard(r, x):
-        if np.any(r <= 0.0):
-            bad = int(np.argmin(r))
+        bad = r <= 0.0
+        if np.any(bad):
+            at = np.unravel_index(np.argmax(bad), bad.shape)
             raise SingularGradientError(
-                f"state position coincides with sensor {bad}; range gradient undefined",
-                context={"sensor": bad, "state": np.asarray(x, dtype=float).tolist()},
+                f"state position coincides with sensor {at[-1]}; range gradient undefined",
+                context={"sensor": int(at[-1]), "state": np.asarray(x)[at[:-1]].tolist()},
             )
 
     def jacobian(x):
-        d, r = _offsets(x)
+        dx, dy, r = _offsets(x)
         _guard(r, x)
-        J = np.zeros((p, state_dim))
-        J[:, ix] = d[:, 0] / r
-        J[:, iy] = d[:, 1] / r
+        J = np.zeros(r.shape + (state_dim,))
+        J[..., ix] = dx / r
+        J[..., iy] = dy / r
         return J
 
     def hessian(x):
         # Hessian of ||p - s|| is (I - u u^T) / r on the position block.
-        d, r = _offsets(x)
+        dx, dy, r = _offsets(x)
         _guard(r, x)
-        H = np.zeros((p, state_dim, state_dim))
-        u = d / r[:, None]
-        for i in range(p):
-            block = (np.eye(2) - np.outer(u[i], u[i])) / r[i]
-            H[i, ix, ix] = block[0, 0]
-            H[i, ix, iy] = block[0, 1]
-            H[i, iy, ix] = block[1, 0]
-            H[i, iy, iy] = block[1, 1]
+        H = np.zeros(r.shape + (state_dim, state_dim))
+        ux, uy = dx / r, dy / r
+        H[..., ix, ix] = (1.0 - ux * ux) / r
+        H[..., iy, iy] = (1.0 - uy * uy) / r
+        H[..., ix, iy] = H[..., iy, ix] = -(ux * uy) / r
         return H
 
     return MeasurementMap(output_dim=p, evaluate=evaluate, jacobian=jacobian, hessian=hessian)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .belief import PSD_REL_TOL
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import NewtonOptions, ekf_step, initial_bank, ssue_step
+from .filters import (DEFAULT_WEIGHT_FLOOR, NewtonOptions, _bank_rows, _step_rows, ekf_step,
+                      initial_bank)
 from .model import (
     LocationMatrix,
     LocationSet,
@@ -52,8 +53,9 @@ class Scenario:
         if x0.shape != (self.model.n,):
             raise ContractError(f"x0_truth must have shape ({self.model.n},), got {x0.shape}")
         for name in ("true_loc_index", "steps", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ContractError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContractError(f"{name} must be an integer, got {value!r}")
         if not 0 <= self.true_loc_index < self.model.M:
             raise ContractError(f"true_loc_index {self.true_loc_index} out of range")
         if self.steps < 1:
@@ -203,40 +205,70 @@ def run_estimation(scenario: Scenario, opts: NewtonOptions = NewtonOptions(),
     """Simulate (unless a record is supplied) and run the filter plus the EKF baseline.
 
     The EKF consumes the exact same measurement sequence, initialized at the
-    same state mean and covariance as the filter bank.
+    same state mean and covariance as the filter bank (:func:`estimate_batch`).
     """
-    model = scenario.model
-    if record is None:
-        record = simulate(scenario)
-    steps = record.steps
-    n, M = model.n, model.M
+    (outcome,) = estimate_batch([scenario], opts, [record])
+    if isinstance(outcome, NumericalFailureError):
+        raise outcome
+    return outcome
 
-    bank = initial_bank(model)
-    ekf_mean = np.zeros(n)
-    ekf_cov = model.P0.copy()
 
-    mu = np.empty((steps, M))
-    log_lams = np.empty((steps, M))
-    fused_means = np.empty((steps, n + 1))
-    identified = np.empty(steps, dtype=int)
-    ekf_means = np.empty((steps, n))
+def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=None) -> list:
+    """Run the filter and the EKF over scenarios of one model as one batch, one
+    stacked filter step over all B = runs x M rows per time step.  Returns per
+    scenario its completed :class:`RunRecord` (``records[i]`` when given, else
+    a fresh simulation) or the :class:`NumericalFailureError` that ended it.
+    A failing step is redone run by run, so a failure ends only its own run,
+    and each run's numbers are bit-identical to filtering it alone."""
+    model = scenarios[0].model
+    if any(scn.model is not model for scn in scenarios):
+        raise ContractError("the scenarios of a batch must share one model")
+    outcomes = []
+    for scn, rec in zip(scenarios, records or [None] * len(scenarios)):
+        try:
+            outcomes.append(rec if rec is not None else simulate(scn))
+        except NumericalFailureError as exc:
+            outcomes.append(exc)
+    batch = [i for i, rec in enumerate(outcomes) if isinstance(rec, RunRecord)]
+    if len({outcomes[i].measurements.shape for i in batch}) != 1:
+        if batch:
+            raise ContractError("the records of a batch must have equal lengths")
+        return outcomes
+    Y = np.stack([outcomes[i].measurements for i in batch])
+    if not np.isfinite(Y).all():
+        raise ContractError("measurement has non-finite entries",
+                            context={"step": int(np.argwhere(~np.isfinite(Y))[0, 1])})
+    runs, steps = Y.shape[:2]
+    state = [np.repeat(a, runs, 0) for a in _bank_rows(initial_bank(model))]
+    state += [np.zeros((runs, model.n)), np.repeat(model.P0[None], runs, 0)]  # the EKF's
+    out = {}
 
+    def advance(live, k):
+        try:
+            xi, P, mu, ll, fused, identified, _ = _step_rows(
+                *(a[live] for a in state[:3]), Y[live, k], model, opts, DEFAULT_WEIGHT_FLOOR)
+            ekf = ekf_step(state[3][live], state[4][live], Y[live, k], model)
+        except NumericalFailureError as exc:
+            if live.size > 1:
+                return np.concatenate([advance(live[j:j + 1], k) for j in range(live.size)])
+            exc.context.setdefault("step", k)
+            outcomes[batch[live[0]]] = exc
+            return live[:0]
+        for a, value in zip(state, (xi, P, mu) + ekf):
+            a[live] = value
+        for name, v in zip(("mu", "log_lambdas", "fused_means", "identified", "ekf_means"),
+                           (mu, ll, fused, identified, ekf[0])):
+            out.setdefault(name, np.empty((runs, steps) + v.shape[1:], v.dtype))[live, k] = v
+        return live
+
+    live = np.arange(runs)
     for k in range(steps):
-        result = ssue_step(bank, record.measurements[k], model, opts, step=k)
-        bank = result.bank
-        mu[k] = bank.weights
-        log_lams[k] = result.log_lambdas
-        fused_means[k] = result.fused.xi_mean
-        identified[k] = result.identified_index
-        ekf_mean, ekf_cov = ekf_step(ekf_mean, ekf_cov, record.measurements[k], model)
-        ekf_means[k] = ekf_mean
-
-    record.mu = mu
-    record.log_lambdas = log_lams
-    record.fused_means = fused_means
-    record.identified = identified
-    record.ekf_means = ekf_means
-    return record
+        if live.size:
+            live = advance(live, k)
+    for j in live:
+        for name, values in out.items():
+            setattr(outcomes[batch[j]], name, values[j])
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -336,20 +368,17 @@ def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int,
                 opts: NewtonOptions = NewtonOptions()) -> MetricsSummary:
     """Repeat the experiment with seeds seed_base, seed_base+1, ... and aggregate.
 
-    Runs that die with a numerical failure are reported in ``failures``
-    rather than dropped.
+    The runs are filtered as one batch (:func:`estimate_batch`).  Runs that die
+    with a numerical failure are reported in ``failures`` rather than dropped.
     """
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
-    per_run = []
-    failures = []
-    for i in range(n_runs):
-        scn = replace(scenario_template, seed=seed_base + i)
-        try:
-            per_run.append(run_metrics(run_estimation(scn, opts)))
-        except NumericalFailureError as exc:
-            failures.append((scn.seed, str(exc)))
-    return MetricsSummary.from_runs(per_run, failures)
+    scenarios = [replace(scenario_template, seed=seed_base + i) for i in range(n_runs)]
+    outcomes = estimate_batch(scenarios, opts)
+    return MetricsSummary.from_runs(
+        [run_metrics(rec) for rec in outcomes if isinstance(rec, RunRecord)],
+        [(scn.seed, str(exc)) for scn, exc in zip(scenarios, outcomes)
+         if isinstance(exc, NumericalFailureError)])
 
 
 # ---------------------------------------------------------------------------

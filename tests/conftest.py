@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -13,17 +14,17 @@ def tracking_scenario():
 
 @pytest.fixture(scope="session")
 def tracking_batch():
-    """20 seeded full estimation runs of the tracking preset, shared by the
-    consistency and scenario-reproduction acceptance criteria.
+    """20 seeded full estimation runs of the tracking preset, filtered as one
+    Monte Carlo batch and shared by the consistency and scenario-reproduction
+    acceptance criteria.
 
     Returns (records, wall_time_seconds); the build time is charged against
     both criteria's runtime budgets.
     """
     t0 = time.time()
-    records = []
-    for i in range(20):
-        scn = ssue.tracking_preset(seed=1000 + i)
-        records.append(ssue.run_estimation(scn))
+    template = ssue.tracking_preset()
+    records = ssue.estimate_batch([dataclasses.replace(template, seed=1000 + i)
+                                   for i in range(20)])
     return records, time.time() - t0
 
 

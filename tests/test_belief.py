@@ -234,3 +234,17 @@ class TestEnsureSpd:
         assert "test matrix" in str(info.value)
         assert info.value.context["eig_min"] == pytest.approx(-10 * PSD_REL_TOL)
         assert info.value.context["eig_max"] == pytest.approx(1.0)
+
+    def test_stack_checks_and_jitters_each_matrix_alone(self):
+        stack = np.stack([_spd(2), np.diag([1.0, 0.0]), _spd(2)])
+        out = ensure_spd(stack)
+        npt.assert_array_equal(out[0], ensure_spd(stack[0]))
+        npt.assert_array_equal(out[1], np.diag([1.0, 0.0]) + PD_JITTER * np.eye(2))
+        npt.assert_array_equal(out[2], ensure_spd(stack[2]))
+
+    def test_indefinite_matrix_of_a_stack_is_named(self):
+        stack = np.stack([_spd(2), _spd(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NumericalFailureError) as info:
+            ensure_spd(stack, "test stack")
+        assert info.value.context["hypothesis"] == 2
+        assert info.value.context["eig_min"] == pytest.approx(-1.0)

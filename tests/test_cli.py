@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssue import monte_carlo, tracking_preset
+from ssue import NumericalFailureError, monte_carlo, tracking_preset
 from ssue.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -114,6 +114,37 @@ class TestEstimateCommand:
             on_disk = json.loads((tmp_path / "out" / f"run_{i:03d}" / "summary.json").read_text())
             assert run == on_disk
 
+    def test_runs_batch_files_equal_single_runs(self, tmp_path):
+        cfg = preset_config(tmp_path, steps=20)
+        assert main(["estimate", "--config", cfg, "--runs", "3",
+                     "--out", str(tmp_path / "batch")]) == 0
+        for i, seed in enumerate((5, 6, 7)):
+            solo = tmp_path / f"solo_{seed}"
+            assert main(["estimate", "--config", cfg, "--seed", str(seed), "--out", str(solo)]) == 0
+            for name in ("truth.csv", "measurements.csv", "estimates.csv", "weights.csv",
+                         "summary.json"):
+                assert (tmp_path / "batch" / f"run_{i:03d}" / name).read_bytes() \
+                    == (solo / name).read_bytes()
+
+    def test_runs_batch_failure_keeps_lower_seeds_and_exits_3(self, tmp_path, monkeypatch,
+                                                              capsys):
+        import ssue.sim as sim_mod
+        real = sim_mod.simulate
+
+        def flaky(scenario):
+            if scenario.seed == 6:
+                raise NumericalFailureError("synthetic failure", context={"seed": 6})
+            return real(scenario)
+
+        monkeypatch.setattr(sim_mod, "simulate", flaky)
+        cfg = preset_config(tmp_path, steps=10)
+        assert main(["estimate", "--config", cfg, "--runs", "3"]) == 3
+        out = tmp_path / "out"
+        assert (out / "run_000" / "summary.json").exists()
+        assert not (out / "run_001").exists() and not (out / "run_002").exists()
+        assert not (out / "aggregate.json").exists()
+        assert "synthetic failure" in capsys.readouterr().err
+
     def test_input_reuses_simulated_measurements(self, tmp_path):
         cfg = preset_config(tmp_path, out="sim", seed=11)
         assert main(["simulate", "--config", cfg]) == 0
@@ -166,6 +197,7 @@ class TestConfigTypes:
         ("estimate", {"scenario": {"steps": 10, "seed": "x"}}, "seed"),
         ("estimate", {"scenario": {"steps": 2.5}}, "steps"),
         ("estimate", {"scenario": {"steps": 10, "true_loc_index": 1.5}}, "true_loc_index"),
+        ("estimate", {"scenario": {"steps": True}}, "steps"),
         ("estimate", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}, "scenario"),
         ("observability", {"scenario": {"steps": 10, "sensors": [[0, 0, 1]]}}, "scenario"),
         ("observability", {"scenario": {"steps": 10}, "observability": {"K": 2.7}},
@@ -176,7 +208,7 @@ class TestConfigTypes:
         ("analyze", {"analysis": {"ratio_pairs": 5}}, "analysis.ratio_pairs"),
         ("analyze", {"analysis": {"ratio_pairs": [[0]]}}, "analysis.ratio_pairs"),
         ("analyze", {"analysis": {"ratio_pairs": [[0.5, 1]]}}, "analysis.ratio_pairs"),
-    ], ids=["K", "tolerance_policy", "seed", "steps", "true_loc_index",
+    ], ids=["K", "tolerance_policy", "seed", "steps", "true_loc_index", "steps_bool",
             "sensors_estimate", "sensors_observability", "K_fractional", "model_steps_fractional",
             "model_seed_bool", "ratio_pairs_int", "ratio_pairs_short", "ratio_pairs_fractional"])
     def test_wrong_type_exits_2_without_traceback(self, tmp_path, capsys, command, cfg, named):

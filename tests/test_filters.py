@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -179,10 +181,13 @@ class TestNewtonUpdate:
 
     def test_full_newton_without_hessian_raises(self, rng):
         def evaluate(x):
-            return np.array([np.sin(x[0]) + x[1] ** 2, x[0] * x[1]])
+            a, b = x[..., 0], x[..., 1]
+            return np.stack([np.sin(a) + b ** 2, a * b], axis=-1)
 
         def jacobian(x):
-            return np.array([[np.cos(x[0]), 2 * x[1]], [x[1], x[0]]])
+            a, b = x[..., 0], x[..., 1]
+            return np.stack([np.stack([np.cos(a), 2 * b], axis=-1),
+                             np.stack([b, a], axis=-1)], axis=-2)
 
         without_hess = MeasurementMap(2, evaluate, jacobian, None)
         pred = random_belief(rng, 2)
@@ -342,6 +347,74 @@ class TestSsueStep:
                 assert eig[0] > -1e-10 * max(eig[-1], 1.0)
             for rep in result.reports:
                 assert np.all(np.diff(rep.cost_trajectory) <= 1e-12)
+
+
+class TestMapCalls:
+    """A step calls the map once per stage for all hypotheses together, and the
+    MAP update starts from the h and C that the likelihood evaluated at the
+    predicted means instead of evaluating them again."""
+
+    @staticmethod
+    def counting(model):
+        calls = {"evaluate": 0, "jacobian": 0}
+
+        def counted(name):
+            fn = getattr(model.map, name)
+
+            def call(x):
+                calls[name] += 1
+                return fn(x)
+            return call
+
+        mmap = dataclasses.replace(model.map, evaluate=counted("evaluate"),
+                                   jacobian=counted("jacobian"))
+        return dataclasses.replace(model, map=mmap), calls
+
+    # likelihood: 1 + 1; each Gauss-Newton round: one residual, and a Jacobian
+    # from the second round on; the posterior: one Jacobian at the last iterate
+    @pytest.mark.parametrize("max_iterations, expected", [(1, 2), (2, 3), (4, 5)])
+    def test_calls_per_step_do_not_grow_with_hypotheses(self, rng, tracking_scenario,
+                                                         max_iterations, expected):
+        y = tracking_scenario.model.map.evaluate(rng.normal(size=4) * 3)
+        model, calls = self.counting(tracking_scenario.model)
+        assert model.M == 3
+        opts = NewtonOptions(max_iterations=max_iterations, line_search="none")
+        result = ssue_step(initial_bank(model), y, model, opts)
+        assert all(r.iterations_used == max_iterations for r in result.reports)
+        assert calls == {"evaluate": expected, "jacobian": expected}
+
+    def test_single_state_map_is_contract_error(self, tracking_scenario):
+        model = tracking_scenario.model
+        C = np.eye(model.p, model.n)
+        single = MeasurementMap(model.p, lambda x: C @ x[0], lambda x: C)
+        bad = dataclasses.replace(model, map=single)
+        with pytest.raises(ContractError, match=r"returned shape \(3, 4\)") as info:
+            ssue_step(initial_bank(bad), np.ones(model.p), bad, step=4)
+        assert info.value.context["step"] == 4
+
+
+class TestRowFallbacks:
+    """The jitter fallback of a stacked factorization applies to the failing row
+    alone; the other rows keep the factor they get on their own."""
+
+    GOOD = np.array([[4.0, 1.0], [1.0, 3.0]])
+    SINGULAR = np.ones((2, 2))
+
+    def test_jitter_stays_in_its_row(self):
+        from ssue.filters import NORMAL_EQUATION_JITTER, _cholesky_rows
+        stack = np.stack([self.GOOD, self.SINGULAR, 2.0 * self.GOOD])
+        out = _cholesky_rows(stack, "test stack", NORMAL_EQUATION_JITTER)
+        npt.assert_array_equal(out[0], np.linalg.cholesky(self.GOOD))
+        npt.assert_array_equal(out[2], np.linalg.cholesky(2.0 * self.GOOD))
+        npt.assert_array_equal(out[1], np.linalg.cholesky(
+            self.SINGULAR + NORMAL_EQUATION_JITTER * np.eye(2)))
+
+    def test_failing_row_is_named(self):
+        from ssue import NumericalFailureError
+        from ssue.filters import NORMAL_EQUATION_JITTER, _cholesky_rows
+        with pytest.raises(NumericalFailureError, match="not positive definite") as info:
+            _cholesky_rows(np.stack([self.GOOD, -self.GOOD]), "test stack", NORMAL_EQUATION_JITTER)
+        assert info.value.context["hypothesis"] == 1
 
 
 class TestNonFiniteMeasurement:

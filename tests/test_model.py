@@ -209,3 +209,33 @@ class TestModelJson:
         }
         with pytest.raises(ConfigurationError):
             model_from_json(json.dumps(doc))
+
+
+class TestStackContract:
+    """Maps take a stack of states (..., n); each row must come out exactly as
+    the single-state call gives it, since the filter stacks hypotheses and runs."""
+
+    @pytest.fixture(params=["linear", "range"])
+    def mmap(self, request, rng):
+        if request.param == "linear":
+            return linear_map(rng.normal(size=(3, 4)))
+        return range_sensor_map([(-10.0, 0.0), (10.0, 0.0), (0.0, 10.0)], (0, 1), state_dim=4)
+
+    @pytest.mark.parametrize("name", ["evaluate", "jacobian", "hessian"])
+    def test_stack_equals_row_by_row_bit_for_bit(self, mmap, name, rng):
+        X = rng.normal(size=(7, 4)) * 5.0
+        fn = getattr(mmap, name)
+        stacked = fn(X)
+        rows = np.stack([fn(x) for x in X])
+        assert stacked.shape == rows.shape == (7,) + rows.shape[1:]
+        npt.assert_array_equal(stacked, rows)
+        npt.assert_array_equal(fn(X.reshape(7, 1, 4)), rows[:, None])
+
+    def test_coincident_sensor_in_a_stack_raises(self):
+        m = range_sensor_map([(0.0, 0.0), (3.0, 4.0)], (0, 1), state_dim=2)
+        X = np.array([[1.0, 1.0], [3.0, 4.0], [2.0, 2.0]])
+        npt.assert_array_equal(m.evaluate(X)[1], [5.0, 0.0])
+        for fn in (m.jacobian, m.hessian):
+            with pytest.raises(SingularGradientError) as info:
+                fn(X)
+            assert info.value.context == {"sensor": 1, "state": [3.0, 4.0]}

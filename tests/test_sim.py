@@ -66,6 +66,11 @@ class TestTrackingPreset:
         with pytest.raises(ContractError):
             tracking_preset(true_loc_index=7)
 
+    @pytest.mark.parametrize("field", ["steps", "seed", "true_loc_index"])
+    def test_booleans_are_not_integers(self, field):
+        with pytest.raises(ContractError, match=field):
+            tracking_preset(**{field: True})
+
 
 class TestSimulate:
     def test_noise_free_nominal_dynamics(self):
@@ -128,6 +133,15 @@ class TestRunEstimation:
         rec = run_estimation(scn, record=base)
         assert rec is base  # same record object: EKF and filter share measurements
 
+    def test_non_finite_measurement_is_contract_error(self):
+        scn = tracking_preset(seed=3, steps=10)
+        record = simulate(scn)
+        record.measurements[4, 1] = np.nan
+        with pytest.raises(ContractError, match="non-finite") as info:
+            run_estimation(scn, record=record)
+        assert info.value.context["step"] == 4
+        assert record.mu is None
+
     def test_bit_reproducible(self):
         scn = tracking_preset(seed=77, steps=25)
         a, b = run_estimation(scn), run_estimation(scn)
@@ -155,17 +169,52 @@ class TestMonteCarlo:
     def test_failed_runs_recorded_not_dropped(self, monkeypatch):
         import ssue.sim as sim_mod
         scn = tracking_preset(steps=10)
-        real = sim_mod.run_estimation
+        real = sim_mod.simulate
 
-        def flaky(scenario, opts=ssue.NewtonOptions(), record=None):
+        def flaky(scenario):
             if scenario.seed == 101:
                 raise NumericalFailureError("synthetic failure", context={})
-            return real(scenario, opts, record)
+            return real(scenario)
 
-        monkeypatch.setattr(sim_mod, "run_estimation", flaky)
+        monkeypatch.setattr(sim_mod, "simulate", flaky)
         summary = sim_mod.monte_carlo(scn, n_runs=3, seed_base=100)
         assert len(summary.per_run) == 2
         assert summary.failures == ((101, "synthetic failure"),)
+
+    def test_batch_runs_equal_solo_runs(self):
+        scn = tracking_preset(steps=25)
+        summary = monte_carlo(scn, n_runs=3, seed_base=30)
+        for got in summary.per_run:
+            want = run_metrics(run_estimation(dataclasses.replace(scn, seed=got.seed)))
+            assert got.to_dict() == want.to_dict()
+            npt.assert_array_equal(got.delta_error_traj, want.delta_error_traj)
+
+    def test_numerical_failure_ends_only_its_run(self):
+        # Of seeds 27-29, only seed 28's estimates reach position x > 6 (a few
+        # steps in), so only its run fails; the batch redoes that step run by
+        # run and goes on with the other two.
+        scn = tracking_preset(steps=40)
+        ranges = scn.model.map
+
+        def jacobian(x):
+            if np.any(np.asarray(x)[..., 0] > 6.0):
+                raise NumericalFailureError("synthetic failure past x = 6")
+            return ranges.jacobian(x)
+
+        model = dataclasses.replace(scn.model, map=dataclasses.replace(ranges, jacobian=jacobian))
+        scn = dataclasses.replace(scn, model=model)
+        summary = monte_carlo(scn, n_runs=3, seed_base=27)
+        assert [seed for seed, _ in summary.failures] == [28]
+        assert [r.seed for r in summary.per_run] == [27, 29]
+        batch = ssue.estimate_batch([dataclasses.replace(scn, seed=s) for s in (27, 28, 29)])
+        assert isinstance(batch[1], NumericalFailureError)
+        assert batch[1].context["step"] > 0
+        for rec in (batch[0], batch[2]):
+            solo = run_estimation(dataclasses.replace(scn, seed=rec.scenario.seed))
+            for name in ("mu", "log_lambdas", "fused_means", "identified", "ekf_means"):
+                npt.assert_array_equal(getattr(rec, name), getattr(solo, name))
+        with pytest.raises(NumericalFailureError, match="past x = 6"):
+            run_estimation(dataclasses.replace(scn, seed=28))
 
     def test_n_runs_validation(self):
         with pytest.raises(ContractError):
