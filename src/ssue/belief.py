@@ -16,10 +16,8 @@ import numpy as np
 from .errors import ContractError, NumericalFailureError
 
 WEIGHT_SUM_TOL = 1e-12
-# PSD policy: eigenvalues down to -1e-10 * max eigenvalue count as PSD;
-# matrices failing strict PD get 1e-12 jitter before any inversion.
+# PSD policy: eigenvalues down to -1e-10 * max eigenvalue count as PSD.
 PSD_REL_TOL = 1e-10
-PD_JITTER = 1e-12
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
@@ -27,27 +25,31 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def ensure_spd(M: np.ndarray, context: str = "covariance") -> np.ndarray:
-    """Symmetrize and, if needed, jitter a covariance so Cholesky can succeed.
-
-    Each matrix of a stack ``(..., m, m)`` is checked and jittered on its own.
-    Raises :class:`NumericalFailureError` when a matrix is indefinite beyond
-    the documented tolerance, naming its flat position in a stack as ``hypothesis``.
-    """
+def psd_factor(M: np.ndarray, name: str = "covariance") -> np.ndarray:
+    """Factor F with F F^T = M for each matrix of a stack ``(..., m, m)``: the lower
+    Cholesky factor of a positive definite matrix, else the exact eigh factor of a
+    PSD one (exact zeros stay exact).  Raises :class:`NumericalFailureError` when a
+    matrix is indefinite beyond the documented tolerance, naming its flat position
+    in a stack as ``hypothesis``."""
     M = symmetrize(np.asarray(M, dtype=float))
-    m = M.shape[-1]
-    eigs = np.linalg.eigvalsh(M).reshape(-1, m)
-    eig_min, eig_max = eigs[:, 0], eigs[:, -1]
-    indefinite = eig_min < -PSD_REL_TOL * np.maximum(np.abs(eig_max), 1.0)
-    if np.any(indefinite):
-        row = int(np.argmax(indefinite))
-        info = {"eig_min": float(eig_min[row]), "eig_max": float(eig_max[row])}
-        if M.ndim > 2:
-            info["hypothesis"] = row
-        raise NumericalFailureError(
-            f"{context} is indefinite (min eigenvalue {eig_min[row]:.3e})", context=info)
-    M.reshape(-1, m, m)[eig_min <= 0.0] += PD_JITTER * np.eye(m)
-    return M
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(M)
+    for row, i in enumerate(np.ndindex(M.shape[:-2])):  # each matrix as it would be alone
+        try:
+            out[i] = np.linalg.cholesky(M[i])
+        except np.linalg.LinAlgError:
+            w, V = np.linalg.eigh(M[i])
+            if w[0] < -PSD_REL_TOL * max(abs(w[-1]), 1.0):
+                info = {"eig_min": float(w[0]), "eig_max": float(w[-1])}
+                if M.ndim > 2:
+                    info["hypothesis"] = row
+                raise NumericalFailureError(f"{name} is indefinite (min eigenvalue {w[0]:.3e})",
+                                            context=info) from None
+            out[i] = V * np.sqrt(np.clip(w, 0.0, None))
+    return out
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,8 @@ class JointBelief:
         n1 = mean.shape[0]
         if n1 < 1 or cov.shape != (n1, n1):
             raise ContractError(f"inconsistent belief: mean {mean.shape}, covariance {cov.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ContractError("belief has non-finite entries")
         cov = symmetrize(cov)
         if not cov[0, 0] > 0.0:
             raise ContractError(f"p_delta must be positive, got {cov[0, 0]}")

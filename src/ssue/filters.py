@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief import HypothesisBank, JointBelief, ensure_spd, fuse, symmetrize
+from .belief import HypothesisBank, JointBelief, fuse, psd_factor, symmetrize
 from .errors import ContractError, DegenerateEvidenceError, NumericalFailureError
 from .model import LocationMatrix, MeasurementMap, SystemModel
 
 LINE_SEARCH_CONTRACTION = 0.5
 LINE_SEARCH_MAX_HALVINGS = 20
 NORMAL_EQUATION_JITTER = 1e-12
+Q_JITTER = 1e-9  # added to a singular process covariance, so every prediction is SPD
 DEFAULT_WEIGHT_FLOOR = 1e-12
 
 
@@ -34,15 +35,13 @@ class NewtonOptions:
 
     ``mode`` selects Gauss-Newton (second-order residual term dropped) or full
     Newton; ``line_search`` "backtracking" halves the step until the cost stops
-    increasing, "none" reproduces the raw iteration.  ``q_jitter`` is added to
-    a singular process covariance before prediction.
+    increasing, "none" reproduces the raw iteration.
     """
 
     max_iterations: int = 10
     step_tolerance: float = 1e-9
     mode: str = "gauss_newton"
     line_search: str = "backtracking"
-    q_jitter: float = 1e-9
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -53,8 +52,6 @@ class NewtonOptions:
             raise ContractError(f"unknown mode {self.mode!r}")
         if self.line_search not in ("none", "backtracking"):
             raise ContractError(f"unknown line_search {self.line_search!r}")
-        if self.q_jitter < 0.0:
-            raise ContractError("q_jitter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,20 +99,29 @@ def _bank_rows(bank: HypothesisBank):
             np.stack([b.xi_cov for b in bank.beliefs])[None], bank.weights[None])
 
 
-def _q_singular(Q: np.ndarray) -> bool:
+def _q_factor(Q: np.ndarray) -> np.ndarray:
+    """Q^{1/2}, of Q + Q_JITTER I when Q itself is singular."""
     try:
-        np.linalg.cholesky(symmetrize(Q))
+        return np.linalg.cholesky(symmetrize(Q))
     except np.linalg.LinAlgError:
-        return True
-    return False
+        return psd_factor(Q + Q_JITTER * np.eye(Q.shape[0]), "process noise covariance Q")
+
+
+def _r_factors(R: np.ndarray):
+    """R^{1/2} and R^{-1/2} (lower Cholesky) of a positive definite R."""
+    try:
+        LR = np.linalg.cholesky(symmetrize(np.asarray(R, dtype=float)))
+    except np.linalg.LinAlgError:
+        raise ContractError("measurement noise covariance R is not positive definite") from None
+    return LR, np.linalg.inv(LR)
 
 
 def _model_constants(model: SystemModel):
-    """R^{-1/2}, "Q is singular" and the stacked locations, kept on the (immutable) model."""
+    """Q^{1/2}, R^{1/2}, R^{-1/2} and the stacked locations, kept on the (immutable) model."""
     if "_filter_constants" not in model.__dict__:
-        LR_inv = np.linalg.inv(np.linalg.cholesky(ensure_spd(model.R, "measurement noise")))
         locations = np.stack([loc.entries for loc in model.locations])
-        object.__setattr__(model, "_filter_constants", (LR_inv, _q_singular(model.Q), locations))
+        object.__setattr__(model, "_filter_constants",
+                           (_q_factor(model.Q), *_r_factors(model.R), locations))
     return model.__dict__["_filter_constants"]
 
 
@@ -148,7 +154,7 @@ def _map_call(fn, X: np.ndarray, tail: tuple, name: str) -> np.ndarray:
     return out
 
 
-def _rowwise(solve, M: np.ndarray, what: str, jitter: float, diagnose) -> np.ndarray:
+def _rowwise(solve, M: np.ndarray, what: str, jitter: float = 0.0) -> np.ndarray:
     """``solve(M[rows], rows)`` for all rows, else row by row with a ``jitter`` retry."""
     try:
         return solve(M, slice(None))
@@ -164,38 +170,41 @@ def _rowwise(solve, M: np.ndarray, what: str, jitter: float, diagnose) -> np.nda
             except np.linalg.LinAlgError:
                 continue
         else:
-            raise NumericalFailureError(what, context={"hypothesis": b, **diagnose(M[b])})
+            raise NumericalFailureError(
+                what, context={"hypothesis": b, "condition": float(np.linalg.cond(M[b]))})
     return np.stack(out)
 
 
-def _cholesky_rows(M: np.ndarray, what: str, jitter: float = 0.0) -> np.ndarray:
-    return _rowwise(lambda A, rows: np.linalg.cholesky(A), M, f"{what} is not positive definite",
-                    jitter, lambda A: {"eig_min": float(np.linalg.eigvalsh(symmetrize(A))[0])})
+def _qr_root(top, bottom):
+    """Upper triangular U with U^T U = T^T T + [0, D]^T [0, D], T = ``top`` (B, k, c) and
+    D = ``bottom`` (..., m, j) filling the last j columns: one stacked QR of [T; [0, D]]."""
+    B, k, c = top.shape
+    stack = np.zeros((B, k + bottom.shape[-2], c))
+    stack[:, :k] = top
+    stack[:, k:, c - bottom.shape[-1]:] = bottom
+    return np.linalg.qr(stack, mode="r")
 
 
-def _predict_rows(xi, P, L, A, Q):
-    """:func:`predict` of rows (B, n+1), (B, n+1, n+1) with locations L (B, n, n)."""
+def _predict_rows(xi, S, L, A, LQ):
+    """:func:`predict` of rows (B, n+1) with covariance factors S (B, n+1, n+1),
+    locations L (B, n, n) and Q^{1/2}, to the predicted means and factors."""
     delta, x = xi[:, :1], xi[:, 1:]
     A_pert = A + delta[:, :, None] * L
-    F = np.zeros(P.shape)
-    F[:, 0, 0] = 1.0
-    F[:, 1:, 0] = _mv(L, x)
-    F[:, 1:, 1:] = A_pert
-    predicted = F @ P @ np.swapaxes(F, -1, -2)
-    predicted[:, 1:, 1:] += Q
-    return (np.concatenate([delta, _mv(A_pert, x)], axis=1),
-            ensure_spd(predicted, "predicted joint covariance"))
+    # S_pred S_pred^T = (F S)(F S)^T + blkdiag(0, Q) with the Jacobian F = [[1, 0], [L x, A_pert]]
+    FS = np.concatenate([S[:, :1], _mv(L, x)[:, :, None] * S[:, :1] + A_pert @ S[:, 1:]], axis=1)
+    S_pred = np.swapaxes(_qr_root(np.swapaxes(FS, -1, -2), LQ.T), -1, -2)
+    return np.concatenate([delta, _mv(A_pert, x)], axis=1), S_pred
 
 
-def _innovation_rows(xi_pred, P_pred, y, measurement_map, R):
+def _innovation_rows(xi_pred, S_pred, y, measurement_map, LR):
     """:func:`log_likelihood` of rows, plus h and C at the predicted means."""
     x, p = xi_pred[:, 1:], y.shape[-1]
     C = _map_call(measurement_map.jacobian, x, (p, x.shape[-1]), "jacobian")
     h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
-    Gamma = ensure_spd(C @ P_pred[:, 1:, 1:] @ np.swapaxes(C, -1, -2) + R, "innovation covariance")
-    L = _cholesky_rows(Gamma, "innovation covariance")
-    z = np.linalg.solve(L, (y - h)[..., None])[..., 0]
-    log_det = 2.0 * np.log(np.diagonal(L, axis1=-2, axis2=-1)).sum(axis=-1)
+    # innovation covariance C P^x C^T + R = U^T U, with P^x = S^x S^x^T for the state rows S^x
+    U = _qr_root(np.swapaxes(C @ S_pred[:, 1:], -1, -2), LR.T)
+    z = np.linalg.solve(np.swapaxes(U, -1, -2), (y - h)[..., None])[..., 0]
+    log_det = 2.0 * np.log(np.abs(np.diagonal(U, axis1=-2, axis2=-1))).sum(axis=-1)
     return -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(z, z)), h, C
 
 
@@ -205,11 +214,12 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
                               bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
 
 
-def _update_rows(xi_pred, P_pred, y, measurement_map, LR_inv, opts, h, C):
-    """:func:`newton_update` of B rows from h and C at the predicted means; a row
-    that converges or stalls leaves the active set and does no further work."""
+def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
+    """:func:`newton_update` of B rows from their factors and h and C at the predicted
+    means; a row that converges or stalls leaves the active set and does no further work."""
     (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
-    LP_inv = np.linalg.inv(_cholesky_rows(P_pred, "predicted joint covariance"))
+    LP_inv = _rowwise(lambda A, rows: np.linalg.inv(A), S_pred,
+                      "predicted joint covariance is singular")
 
     def residual(xi, y, LP_inv, xi_pred, hx=None):
         hx = _map_call(measurement_map.evaluate, xi[:, 1:], (p,), "evaluate") if hx is None else hx
@@ -240,7 +250,7 @@ def _update_rows(xi_pred, P_pred, y, measurement_map, LR_inv, opts, h, C):
             N[:, 1:, 1:] -= (w[:, None, :] @ hess.reshape(-1, p, n * n)).reshape(-1, n, n)
         d = _rowwise(lambda A, rows: np.linalg.solve(A, -g[rows, :, None])[..., 0], N,
                      "singular normal-equations matrix in the MAP update even after jitter",
-                     NORMAL_EQUATION_JITTER, lambda A: {"condition": float(np.linalg.cond(A))})
+                     NORMAL_EQUATION_JITTER)
 
         step, new = d, xa + d
         rn = residual(new, ya, LPa, xpa)
@@ -281,29 +291,26 @@ def _update_rows(xi_pred, P_pred, y, measurement_map, LR_inv, opts, h, C):
     moved_last[act] = True
     if moved_last.any():
         C[moved_last] = _map_call(measurement_map.jacobian, xi[moved_last, 1:], (p, n), "jacobian")
-    W = LR_inv @ C
-    info = np.swapaxes(LP_inv, -1, -2) @ LP_inv
-    info[:, 1:, 1:] += np.swapaxes(W, -1, -2) @ W
-    L_info_inv = np.linalg.inv(_cholesky_rows(symmetrize(info), "posterior information matrix",
-                                              NORMAL_EQUATION_JITTER))
-    P_post = symmetrize(np.swapaxes(L_info_inv, -1, -2) @ L_info_inv)
-    return xi, P_post, iterations, costs, converged
+    # U^T U = S_pred^{-T} S_pred^{-1} + blkdiag(0, C^T R^{-1} C) is the posterior information
+    S_post = np.linalg.inv(_qr_root(LP_inv, LR_inv @ C))
+    return xi, symmetrize(S_post @ np.swapaxes(S_post, -1, -2)), iterations, costs, converged
 
 
 def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions, weight_floor: float):
     """The stacked kernel: one filter step of R runs of one model, from means
     (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
     (R, p), to posterior rows, weights, log likelihoods, fused means,
-    identified indices and the raw :func:`_update_rows` result."""
+    identified indices and the raw :func:`_update_rows` result.  In between, each
+    row's covariance is carried as a factor S (S S^T = P), so it stays SPD by construction."""
     (R_runs, M), n1 = mu.shape, xi.shape[-1]
-    LR_inv, q_singular, locations = _model_constants(model)
-    Q = model.Q + opts.q_jitter * np.eye(model.n) if q_singular and opts.q_jitter else model.Q
+    LQ, LR, LR_inv, locations = _model_constants(model)
     Y = np.repeat(y, M, axis=0)
     try:
-        xi_pred, P_pred = _predict_rows(xi.reshape(-1, n1), P.reshape(-1, n1, n1),
-                                        np.concatenate([locations] * R_runs), model.A, Q)
-        ll, h, C = _innovation_rows(xi_pred, P_pred, Y, model.map, model.R)
-        upd = _update_rows(xi_pred, P_pred, Y, model.map, LR_inv, opts, h, C)
+        S = psd_factor(P.reshape(-1, n1, n1), "joint covariance")
+        xi_pred, S_pred = _predict_rows(xi.reshape(-1, n1), S,
+                                        np.concatenate([locations] * R_runs), model.A, LQ)
+        ll, h, C = _innovation_rows(xi_pred, S_pred, Y, model.map, LR)
+        upd = _update_rows(xi_pred, S_pred, Y, model.map, LR_inv, opts, h, C)
     except NumericalFailureError as exc:
         if "hypothesis" in exc.context:  # the failing row's position in the stack
             exc.context["hypothesis"] %= M
@@ -316,22 +323,22 @@ def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions, weight_flo
 
 # Public per-belief API: the one-row case of the stacked stages.
 
-def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarray,
-            q_jitter: float = 1e-9) -> JointBelief:
+def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarray) -> JointBelief:
     """Propagate a joint belief one step through x+ = (A + delta * L) x + w.
 
-    The joint covariance is pushed through the Jacobian
-    F = [[1, 0], [L x, A + delta L]] of [delta; x] -> [delta; x+], so the
-    perturbation mean and variance carry over unchanged.
+    The joint covariance is pushed through the Jacobian F = [[1, 0], [L x, A + delta L]]
+    of [delta; x] -> [delta; x+], so the perturbation mean and variance carry over
+    unchanged.  As in the filter, a singular Q gets ``Q_JITTER`` on its diagonal.
     """
     n = belief.n
     A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
     if A.shape != (n, n) or Q.shape != (n, n) or loc.n != n:
         raise ContractError("prediction inputs disagree on the state dimension")
-    if q_jitter > 0.0 and _q_singular(Q):
-        Q = Q + q_jitter * np.eye(n)
-    xi, P = _predict_rows(belief.xi_mean[None], belief.xi_cov[None], loc.entries[None], A, Q)
-    return JointBelief(xi[0], P[0])
+    S = psd_factor(belief.xi_cov[None], "joint covariance")
+    xi, S_pred = _predict_rows(belief.xi_mean[None], S, loc.entries[None], A, _q_factor(Q))
+    P = symmetrize(S_pred[0] @ S_pred[0].T)
+    P[0, 0] = belief.p_delta  # exact: delta has no process noise, and sqrt(p)^2 need not be p
+    return JointBelief(xi[0], P)
 
 
 def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,
@@ -342,8 +349,8 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
 
         L(xi) = ||R^{-1/2} (y - h(x))||^2 + ||P^{-1/2} (xi - xi_pred)||^2
 
-    starting from the prediction, where the matrix square roots are lower
-    Cholesky factors (the iterate only depends on them through R^{-1} and
+    starting from the prediction, where the matrix square roots are the
+    factors of R and P (the iterate only depends on them through R^{-1} and
     P^{-1}, so the factor choice is immaterial); Gauss-Newton on it is the
     iterated EKF update (Bell & Cathey 1993).  The posterior covariance is
     the inverse Fisher information [H + P_pred^{-1}]^{-1} with
@@ -356,9 +363,9 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     y = _measurement_vector(y, p)[None]
     C = _map_call(measurement_map.jacobian, x, (p, pred.n), "jacobian")
     h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
-    LR_inv = np.linalg.inv(np.linalg.cholesky(ensure_spd(R, "measurement noise covariance")))
-    P_pred = ensure_spd(pred.xi_cov[None], "predicted joint covariance")
-    xi, P, *rows = _update_rows(pred.xi_mean[None], P_pred, y, measurement_map, LR_inv, opts, h, C)
+    _, LR_inv = _r_factors(R)
+    S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
+    xi, P, *rows = _update_rows(pred.xi_mean[None], S_pred, y, measurement_map, LR_inv, opts, h, C)
     return JointBelief(xi[0], P[0]), _reports(*rows)[0]
 
 
@@ -370,8 +377,8 @@ def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: Measuremen
     measurement Jacobian at the predicted state mean.
     """
     y = _measurement_vector(y, measurement_map.output_dim)[None]
-    ll, _, _ = _innovation_rows(pred.xi_mean[None], pred.xi_cov[None], y, measurement_map,
-                                np.asarray(R, dtype=float))
+    S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
+    ll, _, _ = _innovation_rows(pred.xi_mean[None], S_pred, y, measurement_map, _r_factors(R)[0])
     return float(ll[0])
 
 
@@ -408,9 +415,11 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
     The likelihood is evaluated on the predicted belief, so it is independent
     of the MAP update outcome.  One run (B = M rows) of the stacked kernel.
     """
-    if bank.M != model.M:
-        raise ContractError(f"bank has {bank.M} hypotheses, model has {model.M} locations")
     try:
+        if bank.M != model.M:
+            raise ContractError(f"bank has {bank.M} hypotheses, model has {model.M} locations")
+        if any(b.n != model.n for b in bank.beliefs):
+            raise ContractError(f"bank beliefs differ from the model's state dimension {model.n}")
         y = _measurement_vector(y, model.map.output_dim)
         xi, P, mu, ll, _, identified, upd = _step_rows(
             *_bank_rows(bank), y[None], model, opts, weight_floor)
@@ -432,9 +441,8 @@ def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     m_pred = _mv(model.A, mean)
     P_pred = symmetrize(model.A @ cov @ model.A.T + model.Q)
     C = _map_call(model.map.jacobian, m_pred, (model.p, model.n), "jacobian")
-    S = ensure_spd(C @ P_pred @ np.swapaxes(C, -1, -2) + model.R, "EKF innovation covariance")
-    LS = _cholesky_rows(S.reshape(-1, model.p, model.p), "EKF innovation covariance")
-    LS_inv = np.linalg.inv(LS.reshape(S.shape))
+    LS_inv = np.linalg.inv(psd_factor(C @ P_pred @ np.swapaxes(C, -1, -2) + model.R,
+                                      "EKF innovation covariance"))
     K = P_pred @ np.swapaxes(LS_inv @ C, -1, -2) @ LS_inv
     nu = y - _map_call(model.map.evaluate, m_pred, (model.p,), "evaluate")
     return m_pred + _mv(K, nu), symmetrize((np.eye(model.n) - K @ C) @ P_pred)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import PSD_REL_TOL
+from .belief import psd_factor
 from .errors import ConfigurationError, ContractError, NumericalFailureError
 from .filters import (DEFAULT_WEIGHT_FLOOR, NewtonOptions, _bank_rows, _step_rows, ekf_step,
                       initial_bank)
@@ -160,29 +160,14 @@ def tracking_preset(Ts: float = 0.1, q: float = 0.05, r: float = 2.0,
                     x0_truth=np.asarray(x0, dtype=float), steps=steps, seed=seed, Ts=Ts)
 
 
-def _psd_factor(M: np.ndarray, name: str) -> np.ndarray:
-    """Factor F with F F^T = M for sampling; exact zeros stay exact."""
-    M = 0.5 * (M + M.T)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        pass
-    w, V = np.linalg.eigh(M)
-    scale = max(float(w[-1]), 1.0)
-    if w[0] < -PSD_REL_TOL * scale:
-        raise NumericalFailureError(f"{name} is indefinite; cannot sample from it",
-                                    context={"eig_min": float(w[0])})
-    return V * np.sqrt(np.clip(w, 0.0, None))
-
-
 def simulate(scenario: Scenario) -> RunRecord:
     """Generate the truth trajectory and measurements (no estimation)."""
     model = scenario.model
     n, p = model.n, model.p
     loc = model.locations[scenario.true_loc_index]
     A_true = model.A + scenario.true_delta * loc.entries
-    Fq = _psd_factor(model.Q, "Q")
-    Fr = _psd_factor(model.R, "R")
+    Fq = psd_factor(model.Q, "Q")
+    Fr = psd_factor(model.R, "R")
     rng = np.random.default_rng(scenario.seed)
 
     truth = np.empty((scenario.steps, n))

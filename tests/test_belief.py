@@ -10,7 +10,7 @@ from ssue import (
     fuse,
     identify_location,
 )
-from ssue.belief import PD_JITTER, PSD_REL_TOL, ensure_spd
+from ssue.belief import PSD_REL_TOL, psd_factor
 
 
 def make_belief(delta=0.0, x=(0.0,), p_delta=1.0, p_dx=None, p_x=None):
@@ -191,6 +191,14 @@ class TestJointBeliefContract:
         with pytest.raises(ValueError):
             getattr(b, attr)[...] = 0.0
 
+    @pytest.mark.parametrize("entry", ["mean", "cov"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entries_are_contract_error(self, entry, bad):
+        mean, cov = np.arange(4.0), _spd(4)
+        (mean if entry == "mean" else cov)[2] = bad
+        with pytest.raises(ContractError, match="non-finite"):
+            JointBelief(mean, cov)
+
     def test_does_not_alias_caller_arrays(self):
         mean, cov = np.arange(4.0), _spd(4)
         b = JointBelief(mean, cov)
@@ -216,35 +224,37 @@ class TestJointBeliefContract:
         npt.assert_array_equal(b.p_x, b.xi_cov[1:, 1:])
 
 
-class TestEnsureSpd:
-    def test_pd_is_symmetrized_without_jitter(self):
+class TestPsdFactor:
+    def test_pd_gets_cholesky_of_symmetrized(self):
         M = _spd(3)
         M[0, 2] += 1e-13
-        out = ensure_spd(M)
-        npt.assert_array_equal(out, 0.5 * (M + M.T))
+        npt.assert_array_equal(psd_factor(M), np.linalg.cholesky(0.5 * (M + M.T)))
 
     @pytest.mark.parametrize("eig_min", [0.0, -0.5 * PSD_REL_TOL], ids=["singular", "within_tol"])
-    def test_psd_singular_gets_jitter(self, eig_min):
-        M = np.diag([1.0, eig_min])
-        npt.assert_array_equal(ensure_spd(M), M + PD_JITTER * np.eye(2))
+    def test_psd_singular_gets_exact_factor(self, eig_min):
+        F = psd_factor(np.diag([1.0, eig_min]))
+        npt.assert_array_equal(F @ F.T, np.diag([1.0, 0.0]))
 
     def test_indefinite_beyond_tolerance_raises_with_spectrum(self):
         with pytest.raises(NumericalFailureError) as info:
-            ensure_spd(np.diag([1.0, -10 * PSD_REL_TOL]), "test matrix")
+            psd_factor(np.diag([1.0, -10 * PSD_REL_TOL]), "test matrix")
         assert "test matrix" in str(info.value)
         assert info.value.context["eig_min"] == pytest.approx(-10 * PSD_REL_TOL)
         assert info.value.context["eig_max"] == pytest.approx(1.0)
+        assert "hypothesis" not in info.value.context
 
-    def test_stack_checks_and_jitters_each_matrix_alone(self):
+    def test_stack_factors_each_matrix_alone(self):
         stack = np.stack([_spd(2), np.diag([1.0, 0.0]), _spd(2)])
-        out = ensure_spd(stack)
-        npt.assert_array_equal(out[0], ensure_spd(stack[0]))
-        npt.assert_array_equal(out[1], np.diag([1.0, 0.0]) + PD_JITTER * np.eye(2))
-        npt.assert_array_equal(out[2], ensure_spd(stack[2]))
+        out = psd_factor(stack)
+        npt.assert_array_equal(out[0], psd_factor(stack[0]))
+        npt.assert_array_equal(out[1], psd_factor(stack[1]))
+        npt.assert_array_equal(out[1] @ out[1].T, np.diag([1.0, 0.0]))
+        npt.assert_array_equal(out[2], psd_factor(stack[2]))
 
     def test_indefinite_matrix_of_a_stack_is_named(self):
         stack = np.stack([_spd(2), _spd(2), np.diag([1.0, -1.0])])
         with pytest.raises(NumericalFailureError) as info:
-            ensure_spd(stack, "test stack")
+            psd_factor(stack, "test stack")
         assert info.value.context["hypothesis"] == 2
         assert info.value.context["eig_min"] == pytest.approx(-1.0)
+        assert info.value.context["eig_max"] == pytest.approx(1.0)

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 from ssue import (
     ContractError,
     DegenerateEvidenceError,
+    HypothesisBank,
     JointBelief,
     LocationMatrix,
     LocationSet,
@@ -16,11 +17,13 @@ from ssue import (
     SystemModel,
     UncertaintyDomain,
     ekf_step,
+    estimate_batch,
     initial_bank,
     linear_map,
     log_likelihood,
     newton_update,
     predict,
+    run_estimation,
     ssue_step,
     tracking_preset,
     update_weights_log,
@@ -67,7 +70,7 @@ class TestPredict:
         A = rng.normal(size=(n, n))
         loc = LocationMatrix(np.diag([1.0, 0.0, 1.0]))
         b = JointBelief(np.concatenate([[0.0], rng.normal(size=n)]), np.eye(n + 1))
-        out = predict(b, loc, A, np.zeros((n, n)), q_jitter=0.0)
+        out = predict(b, loc, A, np.zeros((n, n)))
         npt.assert_allclose(out.x_mean, A @ b.x_mean, rtol=1e-14)
 
     def test_scalar_hand_case_mean(self):
@@ -207,6 +210,18 @@ class TestNewtonUpdate:
             assert np.all(np.diff(costs) <= 1e-12)
             assert report.final_cost == costs[-1]
 
+    def test_singular_predicted_covariance_is_numerical_failure(self, tracking_scenario):
+        # the update whitens with the inverse of the predicted factor, which a
+        # singular (PSD) covariance does not have; no jitter hides that
+        from ssue import NumericalFailureError
+        model = tracking_scenario.model
+        P = np.eye(model.n + 1)
+        P[2, 2] = 0.0
+        pred = JointBelief(np.ones(model.n + 1), P)
+        with pytest.raises(NumericalFailureError, match="singular") as info:
+            newton_update(pred, np.ones(model.p), model.map, model.R)
+        assert info.value.context["hypothesis"] == 0
+
     def test_options_validation(self):
         with pytest.raises(ContractError):
             NewtonOptions(max_iterations=0)
@@ -216,8 +231,6 @@ class TestNewtonUpdate:
             NewtonOptions(mode="bfgs")
         with pytest.raises(ContractError):
             NewtonOptions(line_search="wolfe")
-        with pytest.raises(ContractError):
-            NewtonOptions(q_jitter=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +344,14 @@ class TestSsueStep:
         with pytest.raises(ContractError):
             ssue_step(bank, np.zeros(model.p), model)
 
+    def test_belief_dimension_mismatch_is_contract_error(self, tracking_scenario):
+        model = tracking_scenario.model
+        small = JointBelief(np.zeros(4), np.eye(4))  # n = 3 on the 4-state preset
+        bank = HypothesisBank((small,) * model.M, np.full(model.M, 1.0 / model.M))
+        with pytest.raises(ContractError, match="state dimension") as info:
+            ssue_step(bank, np.zeros(model.p), model, step=2)
+        assert info.value.context["step"] == 2
+
     def test_weights_simplex_and_covariances_spd_along_run(self):
         scn = tracking_preset(seed=11, steps=40)
         bank = initial_bank(scn.model)
@@ -393,27 +414,79 @@ class TestMapCalls:
         assert info.value.context["step"] == 4
 
 
+class TestFactorCalls:
+    """The step path factors with Cholesky and QR only: no eigenvalue check or
+    eigh factor on a well-posed model."""
+
+    def test_step_paths_make_no_eigen_calls(self, monkeypatch, rng):
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        scn = tracking_preset(steps=1)  # a fresh model: its filter constants are built here
+        y = scn.model.map.evaluate(rng.normal(size=4) * 3)
+        ssue_step(initial_bank(scn.model), y, scn.model)
+        (record,) = estimate_batch([scn])
+        assert record.mu.shape == (1, 3)
+        assert calls == []
+
+
+class TestSingularMeasurementNoise:
+    """An R that is not positive definite is rejected by name, not jittered
+    into a huge whitening gain."""
+
+    @pytest.fixture()
+    def scenario(self, tracking_scenario):
+        model = dataclasses.replace(tracking_scenario.model, R=np.zeros((3, 3)))
+        return dataclasses.replace(tracking_scenario, model=model, steps=5)
+
+    def test_step_and_run_reject(self, scenario):
+        model = scenario.model
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            ssue_step(initial_bank(model), np.ones(model.p), model)
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            run_estimation(scenario)
+
+    def test_update_and_likelihood_reject(self, scenario):
+        model = scenario.model
+        pred = initial_bank(model).beliefs[0]
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            newton_update(pred, np.ones(model.p), model.map, model.R)
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            log_likelihood(pred, np.ones(model.p), model.map, model.R)
+
+
 class TestRowFallbacks:
-    """The jitter fallback of a stacked factorization applies to the failing row
-    alone; the other rows keep the factor they get on their own."""
+    """The jitter fallback of the stacked normal-equation solve applies to the
+    failing row alone; the other rows keep the step they get on their own."""
 
     GOOD = np.array([[4.0, 1.0], [1.0, 3.0]])
     SINGULAR = np.ones((2, 2))
 
+    @staticmethod
+    def normal_solve(N, g):
+        from ssue.filters import NORMAL_EQUATION_JITTER, _rowwise
+        return _rowwise(lambda A, rows: np.linalg.solve(A, -g[rows, :, None])[..., 0], N,
+                        "test stack is singular", NORMAL_EQUATION_JITTER)
+
     def test_jitter_stays_in_its_row(self):
-        from ssue.filters import NORMAL_EQUATION_JITTER, _cholesky_rows
+        from ssue.filters import NORMAL_EQUATION_JITTER
         stack = np.stack([self.GOOD, self.SINGULAR, 2.0 * self.GOOD])
-        out = _cholesky_rows(stack, "test stack", NORMAL_EQUATION_JITTER)
-        npt.assert_array_equal(out[0], np.linalg.cholesky(self.GOOD))
-        npt.assert_array_equal(out[2], np.linalg.cholesky(2.0 * self.GOOD))
-        npt.assert_array_equal(out[1], np.linalg.cholesky(
-            self.SINGULAR + NORMAL_EQUATION_JITTER * np.eye(2)))
+        g = np.arange(6.0).reshape(3, 2)
+        out = self.normal_solve(stack, g)
+        npt.assert_array_equal(out[0], np.linalg.solve(self.GOOD, -g[0]))
+        npt.assert_array_equal(out[2], np.linalg.solve(2.0 * self.GOOD, -g[2]))
+        npt.assert_array_equal(out[1], np.linalg.solve(
+            self.SINGULAR + NORMAL_EQUATION_JITTER * np.eye(2), -g[1]))
 
     def test_failing_row_is_named(self):
         from ssue import NumericalFailureError
-        from ssue.filters import NORMAL_EQUATION_JITTER, _cholesky_rows
-        with pytest.raises(NumericalFailureError, match="not positive definite") as info:
-            _cholesky_rows(np.stack([self.GOOD, -self.GOOD]), "test stack", NORMAL_EQUATION_JITTER)
+        from ssue.filters import NORMAL_EQUATION_JITTER
+        singular_after_jitter = np.diag([0.0, -NORMAL_EQUATION_JITTER])
+        with pytest.raises(NumericalFailureError, match="singular") as info:
+            self.normal_solve(np.stack([self.GOOD, singular_after_jitter]), np.ones((2, 2)))
         assert info.value.context["hypothesis"] == 1
 
 

@@ -216,6 +216,17 @@ class TestMonteCarlo:
         with pytest.raises(NumericalFailureError, match="past x = 6"):
             run_estimation(dataclasses.replace(scn, seed=28))
 
+    def test_ssue_step_loop_equals_run_estimation(self):
+        scn = tracking_preset(seed=42, steps=120)
+        rec = run_estimation(scn)
+        bank = ssue.initial_bank(scn.model)
+        for k, y in enumerate(rec.measurements):
+            result = ssue.ssue_step(bank, y, scn.model, step=k)
+            bank = result.bank
+            npt.assert_array_equal(bank.weights, rec.mu[k])
+            npt.assert_array_equal(result.log_lambdas, rec.log_lambdas[k])
+            npt.assert_array_equal(result.fused.xi_mean, rec.fused_means[k])
+
     def test_n_runs_validation(self):
         with pytest.raises(ContractError):
             monte_carlo(tracking_preset(), n_runs=0, seed_base=0)
