@@ -2,9 +2,10 @@
 
 Each hypothesis (one candidate location matrix) carries a joint Gaussian over
 the perturbation and the state, stored as a stacked mean and a joint
-covariance.  A bank of such beliefs plus posterior location probabilities is
-the full filter state; banks are collapsed to a single moment-matched Gaussian
-of the same kind for reporting.
+covariance.  A bank holds these as one row per hypothesis of stacked arrays,
+plus the posterior location probabilities: the full filter state.  Banks are
+collapsed to a single moment-matched Gaussian (a :class:`JointBelief`) for
+reporting.
 """
 
 from __future__ import annotations
@@ -52,6 +53,26 @@ def psd_factor(M: np.ndarray, name: str = "covariance") -> np.ndarray:
     return out
 
 
+def _joint_rows(means, covs):
+    """Checked copies of M joint Gaussians over [delta; x], means (M, n+1) and
+    covariances (M, n+1, n+1): finite, with p_delta > 0 (a failing row is named as
+    ``hypothesis``), covariances symmetrized, both arrays read-only."""
+    means, covs = np.array(means, dtype=float), np.asarray(covs, dtype=float)
+    n1 = means.shape[-1] if means.ndim == 2 else 0
+    if n1 < 1 or covs.shape != means.shape + (n1,):
+        raise ContractError(f"inconsistent belief: means {means.shape}, covariances {covs.shape}")
+    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
+        raise ContractError("belief has non-finite entries")
+    covs = symmetrize(covs)
+    bad = np.flatnonzero(~(covs[:, 0, 0] > 0.0))
+    if bad.size:
+        raise ContractError(f"p_delta must be positive, got {covs[bad[0], 0, 0]} (row {bad[0]})",
+                            context={"hypothesis": int(bad[0])})
+    means.setflags(write=False)
+    covs.setflags(write=False)
+    return means, covs
+
+
 @dataclass(frozen=True)
 class JointBelief:
     """Gaussian over [delta; x]: stacked mean ``xi_mean`` and joint covariance ``xi_cov``.
@@ -65,20 +86,9 @@ class JointBelief:
     xi_cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.array(self.xi_mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.xi_cov, dtype=float)
-        n1 = mean.shape[0]
-        if n1 < 1 or cov.shape != (n1, n1):
-            raise ContractError(f"inconsistent belief: mean {mean.shape}, covariance {cov.shape}")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-            raise ContractError("belief has non-finite entries")
-        cov = symmetrize(cov)
-        if not cov[0, 0] > 0.0:
-            raise ContractError(f"p_delta must be positive, got {cov[0, 0]}")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "xi_mean", mean)
-        object.__setattr__(self, "xi_cov", cov)
+        means, covs = _joint_rows(np.reshape(self.xi_mean, (1, -1)), np.asarray(self.xi_cov)[None])
+        object.__setattr__(self, "xi_mean", means[0])
+        object.__setattr__(self, "xi_cov", covs[0])
 
     @property
     def n(self) -> int:
@@ -107,27 +117,30 @@ class JointBelief:
 
 @dataclass(frozen=True)
 class HypothesisBank:
-    """Per-location beliefs plus the posterior location probabilities."""
+    """The filter state: one joint Gaussian over [delta; x] per candidate location,
+    stacked as means ``xi_means`` (M, n+1) and covariances ``xi_covs`` (M, n+1, n+1),
+    plus the posterior location probabilities ``weights`` (M,).  All three are
+    read-only copies of the inputs."""
 
-    beliefs: tuple[JointBelief, ...]
+    xi_means: np.ndarray
+    xi_covs: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        beliefs = tuple(self.beliefs)
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if len(beliefs) != w.shape[0]:
-            raise ContractError(f"{len(beliefs)} beliefs but {w.shape[0]} weights")
-        if np.any(w < 0.0):
-            raise ContractError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ContractError(f"weights must sum to 1, got {w.sum()!r}")
+        means, covs = _joint_rows(self.xi_means, self.xi_covs)
+        w = np.array(self.weights, dtype=float)
+        if w.shape != means.shape[:1]:
+            raise ContractError(f"{means.shape[0]} hypotheses but weights of shape {w.shape}")
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
+            raise ContractError(f"weights must be nonnegative and sum to 1, got {w}")
         w.setflags(write=False)
-        object.__setattr__(self, "beliefs", beliefs)
+        object.__setattr__(self, "xi_means", means)
+        object.__setattr__(self, "xi_covs", covs)
         object.__setattr__(self, "weights", w)
 
     @property
     def M(self) -> int:
-        return len(self.beliefs)
+        return self.weights.shape[0]
 
 
 def fuse(bank: HypothesisBank) -> JointBelief:
@@ -136,12 +149,10 @@ def fuse(bank: HypothesisBank) -> JointBelief:
     Mean is the weight-averaged mean; covariance adds the spread-of-means term
     so the result matches the exact first two mixture moments.
     """
-    mus = bank.weights
-    means = np.stack([b.xi_mean for b in bank.beliefs])
-    covs = np.stack([b.xi_cov for b in bank.beliefs])
+    mus, means = bank.weights, bank.xi_means
     xi = mus @ means
     diff = means - xi
-    cov = np.einsum("i,ijk->jk", mus, covs) + np.einsum("i,ij,ik->jk", mus, diff, diff)
+    cov = np.einsum("i,ijk->jk", mus, bank.xi_covs) + np.einsum("i,ij,ik->jk", mus, diff, diff)
     return JointBelief(xi, cov)
 
 

@@ -30,12 +30,9 @@ from .model import SystemModel, model_from_json, validate_model
 from .observability import DeltaGrid, RankTolerance, pairwise_rank_test
 from .sim import (
     MetricsSummary,
-    RunMetrics,
-    RunRecord,
     Scenario,
     estimate_batch,
     load_record,
-    run_estimation,
     run_metrics,
     save_record,
     simulate,
@@ -143,13 +140,6 @@ def _output_dir(cfg: dict) -> Path:
     return out
 
 
-def _save_run(record: RunRecord, directory: Path) -> RunMetrics:
-    save_record(record, directory)
-    metrics = run_metrics(record)
-    (directory / "summary.json").write_text(json.dumps(metrics.to_dict(), indent=2))
-    return metrics
-
-
 def cmd_simulate(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
     _validated_model(scenario.model)
@@ -165,41 +155,38 @@ def cmd_estimate(cfg: dict, args) -> int:
     opts = _newton_from_config(cfg)
     out = _output_dir(cfg)
 
-    runs = args.runs if args.runs is not None else 1
+    runs = args.runs
     if runs < 1:
         raise ConfigurationError("--runs must be >= 1")
-
-    if runs == 1:
-        metrics = _save_run(_estimate_one(scenario, opts, args.input), out)
-        print(f"identified {metrics.identified} "
-              f"(delta_hat {metrics.final_delta_hat:.4f}); outputs in {out}")
-        return EXIT_OK
-
+    records = None
     if args.input is not None:
-        raise ConfigurationError("--input and --runs cannot be combined")
+        if runs > 1:
+            raise ConfigurationError("--input and --runs cannot be combined")
+        record = load_record(args.input)
+        if record.scenario is None:
+            record.scenario = scenario
+        scenario = record.scenario
+        if record.truth.shape[1] != scenario.model.n:
+            raise ConfigurationError("input record does not match the configured model")
+        records = [record]
+
     per_run = []
     scenarios = [replace(scenario, seed=scenario.seed + i) for i in range(runs)]
-    for i, outcome in enumerate(estimate_batch(scenarios, opts)):
+    for i, outcome in enumerate(estimate_batch(scenarios, opts, records)):
         if isinstance(outcome, NumericalFailureError):
             raise outcome  # the runs of lower seeds are written, as in a seed-by-seed loop
-        per_run.append(_save_run(outcome, out / f"run_{i:03d}"))
+        directory = out / f"run_{i:03d}" if runs > 1 else out
+        save_record(outcome, directory)
+        per_run.append(run_metrics(outcome))
+        (directory / "summary.json").write_text(json.dumps(per_run[-1].to_dict(), indent=2))
+    if runs == 1:
+        print(f"identified {per_run[0].identified} "
+              f"(delta_hat {per_run[0].final_delta_hat:.4f}); outputs in {out}")
+        return EXIT_OK
     summary = MetricsSummary.from_runs(per_run)
     (out / "aggregate.json").write_text(json.dumps(summary.to_dict(), indent=2))
     print(f"{runs} runs: success rate {summary.success_rate:.2f}; outputs in {out}")
     return EXIT_OK
-
-
-def _estimate_one(scenario: Scenario, opts: NewtonOptions, input_dir) -> RunRecord:
-    if input_dir is None:
-        return run_estimation(scenario, opts)
-    record = load_record(input_dir)
-    if record.scenario is not None:
-        scenario = record.scenario
-    else:
-        record.scenario = scenario
-    if record.truth.shape[1] != scenario.model.n:
-        raise ConfigurationError("input record does not match the configured model")
-    return run_estimation(scenario, opts, record=record)
 
 
 def cmd_observability(cfg: dict, args) -> int:
@@ -309,10 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", default=None,
                          help="existing record directory (estimate/analyze)")
         if name == "estimate":
-            cmd.add_argument("--runs", type=int, default=None,
+            cmd.add_argument("--runs", type=int, default=1,
                              help="Monte Carlo batch size (seeds seed..seed+N-1)")
-        else:
-            cmd.set_defaults(runs=None)
     return parser
 
 

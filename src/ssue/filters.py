@@ -88,15 +88,9 @@ def initial_bank(model: SystemModel) -> HypothesisBank:
     xi_cov = np.zeros((model.n + 1, model.n + 1))
     xi_cov[0, 0] = max(half * half, 1e-12)
     xi_cov[1:, 1:] = model.P0
-    belief = JointBelief(np.concatenate(([0.5 * (lo + hi)], np.zeros(model.n))), xi_cov)
-    weights = np.full(model.M, 1.0 / model.M)
-    return HypothesisBank(beliefs=(belief,) * model.M, weights=weights)
-
-
-def _bank_rows(bank: HypothesisBank):
-    """A bank as the stacked rows of one run: means, covariances and weights."""
-    return (np.stack([b.xi_mean for b in bank.beliefs])[None],
-            np.stack([b.xi_cov for b in bank.beliefs])[None], bank.weights[None])
+    xi_mean = np.concatenate(([0.5 * (lo + hi)], np.zeros(model.n)))
+    return HypothesisBank(np.tile(xi_mean, (model.M, 1)), np.tile(xi_cov, (model.M, 1, 1)),
+                          np.full(model.M, 1.0 / model.M))
 
 
 def _q_factor(Q: np.ndarray) -> np.ndarray:
@@ -296,7 +290,7 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
     return xi, symmetrize(S_post @ np.swapaxes(S_post, -1, -2)), iterations, costs, converged
 
 
-def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions, weight_floor: float):
+def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions):
     """The stacked kernel: one filter step of R runs of one model, from means
     (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
     (R, p), to posterior rows, weights, log likelihoods, fused means,
@@ -315,7 +309,7 @@ def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions, weight_flo
         if "hypothesis" in exc.context:  # the failing row's position in the stack
             exc.context["hypothesis"] %= M
         raise
-    mu_new = update_weights_log(mu, ll.reshape(R_runs, M), weight_floor)
+    mu_new = update_weights_log(mu, ll.reshape(R_runs, M))
     xi_post = upd[0].reshape(xi.shape)
     return (xi_post, upd[1].reshape(P.shape), mu_new, ll.reshape(R_runs, M),
             (mu_new[:, None, :] @ xi_post)[:, 0], np.argmax(mu_new, axis=-1), upd)
@@ -407,8 +401,7 @@ def update_weights_log(mu_prev, log_lambdas, floor: float = DEFAULT_WEIGHT_FLOOR
 
 
 def ssue_step(bank: HypothesisBank, y, model: SystemModel,
-              opts: NewtonOptions = NewtonOptions(), step: int | None = None,
-              weight_floor: float = DEFAULT_WEIGHT_FLOOR) -> StepResult:
+              opts: NewtonOptions = NewtonOptions(), step: int | None = None) -> StepResult:
     """One full filter cycle: per-hypothesis predict / likelihood / MAP update,
     then weight update, location identification and fusion.
 
@@ -418,16 +411,16 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
     try:
         if bank.M != model.M:
             raise ContractError(f"bank has {bank.M} hypotheses, model has {model.M} locations")
-        if any(b.n != model.n for b in bank.beliefs):
+        if bank.xi_means.shape[1] != model.n + 1:
             raise ContractError(f"bank beliefs differ from the model's state dimension {model.n}")
         y = _measurement_vector(y, model.map.output_dim)
         xi, P, mu, ll, _, identified, upd = _step_rows(
-            *_bank_rows(bank), y[None], model, opts, weight_floor)
+            bank.xi_means[None], bank.xi_covs[None], bank.weights[None], y[None], model, opts)
     except (ContractError, NumericalFailureError) as exc:
         if step is not None:
             exc.context.setdefault("step", step)
         raise
-    new_bank = HypothesisBank(tuple(map(JointBelief, xi[0], P[0])), mu[0])
+    new_bank = HypothesisBank(xi[0], P[0], mu[0])
     return StepResult(new_bank, fuse(new_bank), int(identified[0]), ll[0], _reports(*upd[2:]))
 
 

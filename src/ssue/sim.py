@@ -19,8 +19,7 @@ import numpy as np
 
 from .belief import psd_factor
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import (DEFAULT_WEIGHT_FLOOR, NewtonOptions, _bank_rows, _step_rows, ekf_step,
-                      initial_bank)
+from .filters import NewtonOptions, _model_constants, _step_rows, ekf_step, initial_bank
 from .model import (
     LocationMatrix,
     LocationSet,
@@ -205,11 +204,16 @@ def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=Non
     a fresh simulation) or the :class:`NumericalFailureError` that ended it.
     A failing step is redone run by run, so a failure ends only its own run,
     and each run's numbers are bit-identical to filtering it alone."""
+    records = [None] * len(scenarios) if records is None else records
+    if not scenarios or len(records) != len(scenarios):
+        raise ContractError("a batch needs one or more scenarios and one record (or None) "
+                            f"each, got {len(scenarios)} scenarios and {len(records)} records")
     model = scenarios[0].model
     if any(scn.model is not model for scn in scenarios):
         raise ContractError("the scenarios of a batch must share one model")
+    _model_constants(model)  # rejects a model the filter cannot run before simulating it
     outcomes = []
-    for scn, rec in zip(scenarios, records or [None] * len(scenarios)):
+    for scn, rec in zip(scenarios, records):
         try:
             outcomes.append(rec if rec is not None else simulate(scn))
         except NumericalFailureError as exc:
@@ -224,14 +228,15 @@ def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=Non
         raise ContractError("measurement has non-finite entries",
                             context={"step": int(np.argwhere(~np.isfinite(Y))[0, 1])})
     runs, steps = Y.shape[:2]
-    state = [np.repeat(a, runs, 0) for a in _bank_rows(initial_bank(model))]
+    bank = initial_bank(model)
+    state = [np.repeat(a[None], runs, 0) for a in (bank.xi_means, bank.xi_covs, bank.weights)]
     state += [np.zeros((runs, model.n)), np.repeat(model.P0[None], runs, 0)]  # the EKF's
     out = {}
 
     def advance(live, k):
         try:
             xi, P, mu, ll, fused, identified, _ = _step_rows(
-                *(a[live] for a in state[:3]), Y[live, k], model, opts, DEFAULT_WEIGHT_FLOOR)
+                *(a[live] for a in state[:3]), Y[live, k], model, opts)
             ekf = ekf_step(state[3][live], state[4][live], Y[live, k], model)
         except NumericalFailureError as exc:
             if live.size > 1:

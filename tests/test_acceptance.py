@@ -141,9 +141,7 @@ def test_criterion_3_fusion_moments():
             covs.append(W @ W.T + 2 * np.eye(4))
         w = rng.uniform(0.5, 2.0, m_comp)
         w = w / w.sum()
-        bank = HypothesisBank(
-            beliefs=tuple(JointBelief(m, c) for m, c in zip(means, covs)),
-            weights=w)
+        bank = HypothesisBank(np.stack(means), np.stack(covs), weights=w)
         fused = fuse(bank)
         mean_ref, cov_ref = exact_moments(means, covs, w)
         exact_ok &= bool(np.max(np.abs(fused.xi_mean - mean_ref)) <= 1e-12)
@@ -156,8 +154,7 @@ def test_criterion_3_fusion_moments():
         W = rng.normal(size=(3, 3))
         covs.append(scale * (W @ W.T + np.eye(3)))
     w = np.array([0.3, 0.7])
-    bank = HypothesisBank(
-        beliefs=tuple(JointBelief(m, c) for m, c in zip(means, covs)), weights=w)
+    bank = HypothesisBank(np.stack(means), np.stack(covs), weights=w)
     fused = fuse(bank)
     n_samples = 1_000_000
     counts = rng.multinomial(n_samples, w)
@@ -401,8 +398,7 @@ def test_criterion_8_structural_invariants():
         bank = result.bank
         simplex_ok &= bool(abs(bank.weights.sum() - 1.0) <= 1e-12
                            and np.all(bank.weights >= 0.0))
-        for b in bank.beliefs:
-            P = b.xi_cov
+        for P in bank.xi_covs:
             eig = np.linalg.eigvalsh(P)
             spd_ok &= bool(np.array_equal(P, P.T)
                            and eig[0] > -1e-10 * max(eig[-1], 1.0))

@@ -22,6 +22,11 @@ def make_belief(delta=0.0, x=(0.0,), p_delta=1.0, p_dx=None, p_x=None):
     return JointBelief(np.concatenate(([delta], np.asarray(x, dtype=float))), cov)
 
 
+def bank_of(belief, M):
+    """The stacked means and covariances of M copies of one belief."""
+    return np.stack([belief.xi_mean] * M), np.stack([belief.xi_cov] * M)
+
+
 def mixture_moments(means, covs, weights):
     """Exact first two moments of a Gaussian mixture (independent oracle)."""
     means = np.asarray(means, dtype=float)
@@ -63,14 +68,14 @@ class TestAssemble:
 class TestFuse:
     def test_single_component_identity(self):
         b = make_belief(delta=-0.1, x=(2.0, 1.0), p_x=np.diag([2.0, 3.0]))
-        bank = HypothesisBank(beliefs=(b,), weights=np.array([1.0]))
+        bank = HypothesisBank(*bank_of(b, 1), weights=np.array([1.0]))
         fused = fuse(bank)
         npt.assert_array_equal(fused.xi_mean, b.xi_mean)
         npt.assert_array_equal(fused.xi_cov, b.xi_cov)
 
     def test_identical_components_zero_spread(self):
         b = make_belief(delta=0.2, x=(1.0,), p_x=[[4.0]])
-        bank = HypothesisBank(beliefs=(b, b), weights=np.array([0.5, 0.5]))
+        bank = HypothesisBank(*bank_of(b, 2), weights=np.array([0.5, 0.5]))
         fused = fuse(bank)
         npt.assert_allclose(fused.xi_mean, b.xi_mean, rtol=0, atol=1e-15)
         npt.assert_allclose(fused.xi_cov, b.xi_cov, rtol=0, atol=1e-15)
@@ -80,7 +85,8 @@ class TestFuse:
         # mixture mean 1, variance 1 + 1 = 2
         b1 = make_belief(delta=0.0, x=(), p_delta=1.0, p_dx=[], p_x=np.zeros((0, 0)))
         b2 = make_belief(delta=2.0, x=(), p_delta=1.0, p_dx=[], p_x=np.zeros((0, 0)))
-        bank = HypothesisBank(beliefs=(b1, b2), weights=np.array([0.5, 0.5]))
+        bank = HypothesisBank(np.stack([b1.xi_mean, b2.xi_mean]), np.stack([b1.xi_cov, b2.xi_cov]),
+                              weights=np.array([0.5, 0.5]))
         fused = fuse(bank)
         npt.assert_allclose(fused.xi_mean, [1.0], atol=1e-15)
         npt.assert_allclose(fused.xi_cov, [[2.0]], atol=1e-15)
@@ -91,7 +97,9 @@ class TestFuse:
                         p_x=np.diag(rng.uniform(1, 2, 2)))
             for _ in range(3)
         )
-        bank = HypothesisBank(beliefs=beliefs, weights=np.array([0.0, 1.0, 0.0]))
+        bank = HypothesisBank(np.stack([b.xi_mean for b in beliefs]),
+                              np.stack([b.xi_cov for b in beliefs]),
+                              weights=np.array([0.0, 1.0, 0.0]))
         fused = fuse(bank)
         npt.assert_array_equal(fused.xi_mean, beliefs[1].xi_mean)
         npt.assert_array_equal(fused.xi_cov, beliefs[1].xi_cov)
@@ -103,7 +111,8 @@ class TestFuse:
             beliefs.append(JointBelief(rng.normal(size=3), W @ W.T + np.eye(3)))
         w = rng.uniform(0.5, 2.0, 3)
         w = w / w.sum()
-        bank = HypothesisBank(beliefs=tuple(beliefs), weights=w)
+        bank = HypothesisBank(np.stack([b.xi_mean for b in beliefs]),
+                              np.stack([b.xi_cov for b in beliefs]), weights=w)
         fused = fuse(bank)
         mean, cov = mixture_moments([b.xi_mean for b in beliefs],
                                     [b.xi_cov for b in beliefs], w)
@@ -118,10 +127,7 @@ class TestFuse:
             W = rng.normal(size=(3, 3))
             covs.append(scale * (W @ W.T + np.eye(3)))
         w = np.array([0.3, 0.7])
-        bank = HypothesisBank(
-            beliefs=tuple(JointBelief(m, c) for m, c in zip(means, covs)),
-            weights=w,
-        )
+        bank = HypothesisBank(np.stack(means), np.stack(covs), weights=w)
         fused = fuse(bank)
 
         n_samples = 1_000_000
@@ -143,28 +149,28 @@ class TestFuse:
     def test_weight_sum_violation_is_contract_error(self):
         b = make_belief()
         with pytest.raises(ContractError):
-            HypothesisBank(beliefs=(b, b), weights=np.array([0.6, 0.6]))
+            HypothesisBank(*bank_of(b, 2), weights=np.array([0.6, 0.6]))
 
 
 class TestIdentifyLocation:
     def test_unique_max(self):
-        bank = HypothesisBank(beliefs=(make_belief(),) * 3,
+        bank = HypothesisBank(*bank_of(make_belief(), 3),
                               weights=np.array([0.2, 0.7, 0.1]))
         assert identify_location(bank) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        bank = HypothesisBank(beliefs=(make_belief(),) * 2, weights=np.array([0.5, 0.5]))
+        bank = HypothesisBank(*bank_of(make_belief(), 2), weights=np.array([0.5, 0.5]))
         assert identify_location(bank) == 0
-        uniform = HypothesisBank(beliefs=(make_belief(),) * 3, weights=np.full(3, 1 / 3))
+        uniform = HypothesisBank(*bank_of(make_belief(), 3), weights=np.full(3, 1 / 3))
         assert identify_location(uniform) == 0
 
     def test_invariant_under_positive_scaling(self, rng):
         for _ in range(20):
             w = rng.uniform(0.01, 1.0, 4)
             w = w / w.sum()
-            bank = HypothesisBank(beliefs=(make_belief(),) * 4, weights=w)
+            bank = HypothesisBank(*bank_of(make_belief(), 4), weights=w)
             scaled = w * rng.uniform(0.1, 10.0)
-            scaled_bank = HypothesisBank(beliefs=(make_belief(),) * 4,
+            scaled_bank = HypothesisBank(*bank_of(make_belief(), 4),
                                          weights=scaled / scaled.sum())
             assert identify_location(bank) == identify_location(scaled_bank)
 
@@ -258,3 +264,58 @@ class TestPsdFactor:
         assert info.value.context["hypothesis"] == 2
         assert info.value.context["eig_min"] == pytest.approx(-1.0)
         assert info.value.context["eig_max"] == pytest.approx(1.0)
+
+
+class TestHypothesisBankContract:
+    """The bank holds validated, read-only copies of stacked means (M, n+1),
+    covariances (M, n+1, n+1) and weights (M,)."""
+
+    @staticmethod
+    def rows(M=3, n1=3):
+        means = np.arange(M * n1, dtype=float).reshape(M, n1)
+        return means, np.stack([_spd(n1, seed=i) for i in range(M)]), np.full(M, 1.0 / M)
+
+    @pytest.mark.parametrize("case", ["means_1d", "means_3d", "covs_short", "covs_not_square",
+                                      "weights_short", "weights_2d"])
+    def test_shape_mismatch_is_contract_error(self, case):
+        means, covs, w = self.rows()
+        means, covs, w = {
+            "means_1d": (means[0], covs, w),
+            "means_3d": (means[None], covs, w),
+            "covs_short": (means, covs[:2], w),
+            "covs_not_square": (means, covs[:, :, :2], w),
+            "weights_short": (means, covs, np.full(2, 0.5)),
+            "weights_2d": (means, covs, w[None]),
+        }[case]
+        with pytest.raises(ContractError):
+            HypothesisBank(means, covs, w)
+
+    @pytest.mark.parametrize("entry", ["means", "covs", "weights"])
+    def test_non_finite_entry_is_contract_error(self, entry):
+        arrays = dict(zip(("means", "covs", "weights"), self.rows()))
+        arrays[entry].reshape(-1)[1] = np.nan
+        with pytest.raises(ContractError, match="non-finite|sum to 1"):
+            HypothesisBank(*arrays.values())
+
+    @pytest.mark.parametrize("p_delta", [0.0, -1.0])
+    def test_nonpositive_p_delta_names_its_row(self, p_delta):
+        means, covs, w = self.rows()
+        covs[2, 0, 0] = p_delta
+        with pytest.raises(ContractError, match=r"\(row 2\)") as info:
+            HypothesisBank(means, covs, w)
+        assert info.value.context["hypothesis"] == 2
+
+    @pytest.mark.parametrize("attr", ["xi_means", "xi_covs", "weights"])
+    def test_arrays_are_read_only(self, attr):
+        bank = HypothesisBank(*self.rows())
+        with pytest.raises(ValueError):
+            getattr(bank, attr)[0] = 0.0
+
+    def test_no_aliasing_of_caller_arrays(self):
+        means, covs, w = self.rows()
+        bank = HypothesisBank(means, covs, w)
+        kept = [a.copy() for a in (bank.xi_means, bank.xi_covs, bank.weights)]
+        for a in (means, covs, w):
+            a[...] = 0.0
+        for got, want in zip((bank.xi_means, bank.xi_covs, bank.weights), kept):
+            npt.assert_array_equal(got, want)

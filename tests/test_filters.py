@@ -318,7 +318,7 @@ class TestSsueStep:
         y = model.map.evaluate(rng.normal(size=4) * 3)
         result = ssue_step(bank, y, single)
         npt.assert_array_equal(result.bank.weights, [1.0])
-        npt.assert_array_equal(result.fused.xi_mean, result.bank.beliefs[0].xi_mean)
+        npt.assert_array_equal(result.fused.xi_mean, result.bank.xi_means[0])
         assert result.identified_index == 0
 
     def test_identical_locations_keep_weights_symmetric(self, rng):
@@ -347,7 +347,8 @@ class TestSsueStep:
     def test_belief_dimension_mismatch_is_contract_error(self, tracking_scenario):
         model = tracking_scenario.model
         small = JointBelief(np.zeros(4), np.eye(4))  # n = 3 on the 4-state preset
-        bank = HypothesisBank((small,) * model.M, np.full(model.M, 1.0 / model.M))
+        bank = HypothesisBank(np.stack([small.xi_mean] * model.M),
+                              np.stack([small.xi_cov] * model.M), np.full(model.M, 1.0 / model.M))
         with pytest.raises(ContractError, match="state dimension") as info:
             ssue_step(bank, np.zeros(model.p), model, step=2)
         assert info.value.context["step"] == 2
@@ -361,8 +362,7 @@ class TestSsueStep:
             result = ssue_step(bank, rec.measurements[k], scn.model, step=k)
             bank = result.bank
             assert abs(bank.weights.sum() - 1.0) <= 1e-12
-            for b in bank.beliefs:
-                P = b.xi_cov
+            for P in bank.xi_covs:
                 npt.assert_array_equal(P, P.T)
                 eig = np.linalg.eigvalsh(P)
                 assert eig[0] > -1e-10 * max(eig[-1], 1.0)
@@ -433,6 +433,20 @@ class TestFactorCalls:
         assert calls == []
 
 
+class TestStepObjects:
+    """A step reads and writes the bank's arrays; it builds no per-hypothesis beliefs."""
+
+    def test_step_builds_only_the_fused_belief(self, monkeypatch, rng, tracking_scenario):
+        model = tracking_scenario.model
+        bank = initial_bank(model)
+        built = []
+        real = JointBelief.__post_init__
+        monkeypatch.setattr(JointBelief, "__post_init__",
+                            lambda self: (built.append(self), real(self))[1])
+        result = ssue_step(bank, model.map.evaluate(rng.normal(size=4) * 3), model)
+        assert len(built) == 1 and built[0] is result.fused
+
+
 class TestSingularMeasurementNoise:
     """An R that is not positive definite is rejected by name, not jittered
     into a huge whitening gain."""
@@ -451,7 +465,8 @@ class TestSingularMeasurementNoise:
 
     def test_update_and_likelihood_reject(self, scenario):
         model = scenario.model
-        pred = initial_bank(model).beliefs[0]
+        bank = initial_bank(model)
+        pred = JointBelief(bank.xi_means[0], bank.xi_covs[0])
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
             newton_update(pred, np.ones(model.p), model.map, model.R)
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
@@ -508,7 +523,8 @@ class TestNonFiniteMeasurement:
 
     def test_update_likelihood_and_ekf_reject(self, bad_y, tracking_scenario):
         model = tracking_scenario.model
-        pred = initial_bank(model).beliefs[0]
+        bank = initial_bank(model)
+        pred = JointBelief(bank.xi_means[0], bank.xi_covs[0])
         with pytest.raises(ContractError, match="non-finite"):
             newton_update(pred, bad_y, model.map, model.R)
         with pytest.raises(ContractError, match="non-finite"):
@@ -522,7 +538,7 @@ class TestInitialBank:
         bank = initial_bank(tracking_scenario.model)
         assert bank.M == 3
         npt.assert_allclose(bank.weights, np.full(3, 1 / 3), atol=1e-15)
-        b = bank.beliefs[0]
+        b = JointBelief(bank.xi_means[0], bank.xi_covs[0])
         assert b.delta_mean == pytest.approx(-0.105)
         assert b.p_delta == pytest.approx(0.095 ** 2)
         npt.assert_array_equal(b.x_mean, np.zeros(4))

@@ -232,6 +232,32 @@ class TestMonteCarlo:
             monte_carlo(tracking_preset(), n_runs=0, seed_base=0)
 
 
+
+class TestEstimateBatchInputs:
+    """A malformed batch is a ContractError before any run is simulated."""
+
+    def test_empty_batch(self):
+        with pytest.raises(ContractError, match="got 0 scenarios"):
+            ssue.estimate_batch([])
+
+    def test_records_must_match_scenarios(self):
+        s1 = tracking_preset(seed=1, steps=5)
+        s2 = dataclasses.replace(s1, seed=2)
+        with pytest.raises(ContractError, match="got 2 scenarios and 1 records"):
+            ssue.estimate_batch([s1, s2], records=[simulate(s1)])
+
+    def test_singular_R_rejected_before_simulating(self, monkeypatch):
+        import ssue.sim as sim_mod
+        scn = tracking_preset(steps=5)
+        scn = dataclasses.replace(scn, model=dataclasses.replace(scn.model, R=np.zeros((3, 3))))
+        calls = []
+        monkeypatch.setattr(sim_mod, "simulate", lambda scenario: calls.append(scenario))
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            run_estimation(scn)
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            monte_carlo(scn, n_runs=3, seed_base=0)
+        assert calls == []
+
 class TestRecordPersistence:
     def test_round_trip(self, tmp_path):
         scn = tracking_preset(seed=8, steps=12)
