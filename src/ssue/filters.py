@@ -24,6 +24,7 @@ from .model import LocationMatrix, MeasurementMap, SystemModel
 
 LINE_SEARCH_CONTRACTION = 0.5
 LINE_SEARCH_MAX_HALVINGS = 20
+DECREMENT_TOL = 1e-12  # Newton decrement |g^T d| at which a MAP update stops, in cost (chi^2) units
 NORMAL_EQUATION_JITTER = 1e-12
 Q_JITTER = 1e-9  # added to a singular process covariance, so every prediction is SPD
 DEFAULT_WEIGHT_FLOOR = 1e-12
@@ -34,33 +35,29 @@ class NewtonOptions:
     """Knobs of the iterative MAP update.
 
     ``mode`` selects Gauss-Newton (second-order residual term dropped) or full
-    Newton; ``line_search`` "backtracking" halves the step until the cost stops
-    increasing, "none" reproduces the raw iteration.
+    Newton.  Every step is backtracked, halving it until the cost stops
+    increasing; a row stops after the step whose Newton decrement |g^T d| is
+    below ``DECREMENT_TOL``, or after ``max_iterations`` steps.
     """
 
     max_iterations: int = 10
-    step_tolerance: float = 1e-9
     mode: str = "gauss_newton"
-    line_search: str = "backtracking"
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ContractError("max_iterations must be >= 1")
-        if not self.step_tolerance > 0.0:
-            raise ContractError("step_tolerance must be positive")
         if self.mode not in ("gauss_newton", "full_newton"):
             raise ContractError(f"unknown mode {self.mode!r}")
-        if self.line_search not in ("none", "backtracking"):
-            raise ContractError(f"unknown line_search {self.line_search!r}")
 
 
 @dataclass(frozen=True)
 class UpdateReport:
     """Diagnostics of one MAP update.
 
-    ``converged`` means an accepted step fell below the step tolerance; hitting
-    the iteration cap, or the backtracking search finding no non-increasing
-    step (stalled at a numerical minimum), leaves it False.
+    ``converged`` means the update took a step whose Newton decrement |g^T d|,
+    its predicted cost decrease, was below ``DECREMENT_TOL``; hitting the
+    iteration cap, or the backtracking search finding no non-increasing step,
+    leaves it False.
     """
 
     iterations_used: int
@@ -246,38 +243,26 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
                      "singular normal-equations matrix in the MAP update even after jitter",
                      NORMAL_EQUATION_JITTER)
 
-        step, new = d, xa + d
-        rn = residual(new, ya, LPa, xpa)
-        cn = _dot(rn, rn)
-        ok = np.ones(act.size, dtype=bool) if opts.line_search == "none" else cn <= ca
-        if not ok.all():
-            # backtracking; every row still searching is at the same step fraction
-            step, alpha = d.copy(), 1.0
-            search = [np.flatnonzero(~ok), d[~ok], xa[~ok], ya[~ok], LPa[~ok], xpa[~ok], ca[~ok]]
-            for _ in range(LINE_SEARCH_MAX_HALVINGS):
-                alpha *= LINE_SEARCH_CONTRACTION
-                s, ds, xs, ys, LPs, xps, cs = search
-                trial = alpha * ds
-                cand = xs + trial
-                r_cand = residual(cand, ys, LPs, xps)
-                c_cand = _dot(r_cand, r_cand)
-                good = c_cand <= cs
-                if good.any():
-                    hit = s[good]
-                    for full, part in ((step, trial), (new, cand), (rn, r_cand), (cn, c_cand)):
-                        full[hit] = part[good]
-                    ok[hit] = True
-                    if good.all():
-                        break
-                    search = [a[~good] for a in search]
+        # the step with a decrement at rounding level is the last; its cost may rise by as much
+        small = np.abs(_dot(g, d)) < DECREMENT_TOL
+        limit = ca + np.where(small, DECREMENT_TOL, 0.0)
+        new, rn, cn = np.empty_like(xa), np.empty_like(ra), np.empty_like(ca)
+        ok, s, alpha = np.zeros(act.size, dtype=bool), np.arange(act.size), 1.0
+        for _ in range(1 + LINE_SEARCH_MAX_HALVINGS):  # the full step, then backtracking
+            new[s] = xa[s] + alpha * d[s]  # every row s still searching is at this fraction
+            rn[s] = residual(new[s], ya[s], LPa[s], xpa[s])
+            cn[s] = _dot(rn[s], rn[s])
+            ok[s] = cn[s] <= limit[s]
+            s, alpha = s[~ok[s]], alpha * LINE_SEARCH_CONTRACTION
+            if not s.size:
+                break
         # rows with no non-increasing step keep their current iterate and stop
         moved = act[ok]
         xi[moved], r[moved], cost[moved] = new[ok], rn[ok], cn[ok]
         iterations[moved] += 1
         costs[iterations[moved], moved] = cn[ok]
-        done = np.sqrt(_dot(step[ok], step[ok])) < opts.step_tolerance
-        converged[moved[done]] = True
-        act = moved[~done]
+        converged[moved[small[ok]]] = True
+        act = moved[~small[ok]]
         if not act.size:
             break
 

@@ -260,7 +260,9 @@ class SystemModel:
         p = self.map.output_dim
         if R.shape != (p, p):
             raise ConfigurationError(f"R must be {p}x{p} to match the measurement map")
-        for m in (A, Q, R, P0):
+        for name, m in (("A", A), ("Q", Q), ("R", R), ("P0", P0)):
+            if not np.isfinite(m).all():
+                raise ConfigurationError(f"{name} has non-finite entries")
             m.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Q", Q)

@@ -31,6 +31,8 @@ class DeltaGrid:
         v = np.unique(np.asarray(self.values, dtype=float).reshape(-1))
         if v.size == 0:
             raise ContractError("delta grid must be nonempty")
+        if not np.isfinite(v).all():
+            raise ContractError("delta grid has non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "resolution", float(self.resolution))
@@ -233,6 +235,8 @@ def reconstruct(Y_star, A, C, locations: LocationSet, grid: DeltaGrid,
     column space of the candidate".
     """
     Y = np.asarray(Y_star, dtype=float).reshape(-1)
+    if not np.isfinite(Y).all():
+        raise ContractError("output stack has non-finite entries")
     norm_Y = float(np.linalg.norm(Y))
     if norm_Y == 0.0:
         raise ExcitationError(

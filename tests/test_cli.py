@@ -221,6 +221,42 @@ class TestConfigTypes:
         assert named in err
 
 
+class TestNewtonConfig:
+    def test_removed_option_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": {"steps": 5},
+                                       "newton": {"step_tolerance": 1e-9},
+                                       "output_dir": str(tmp_path / "out")})
+        assert main(["estimate", "--config", path]) == 2
+        assert "bad newton option" in capsys.readouterr().err
+
+
+class TestNonFiniteModel:
+    """A NaN in a model matrix is a configuration error that names the matrix,
+    not an eigenvalue failure or a definiteness verdict on NaN."""
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "observability"])
+    def test_nan_process_noise_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"scenario": {"steps": 5, "q": float("nan")},
+                                       "output_dir": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "Q has non-finite entries" in err
+
+    def test_nan_initial_covariance_exits_2(self, tmp_path, capsys):
+        model = json.loads(json.dumps(LINEAR_MODEL))
+        model["P0"][1][1] = float("nan")
+        path = write_config(tmp_path, {
+            "scenario": {"model": model, "true_delta": -0.1, "true_loc_index": 0,
+                         "x0_truth": [1.0, 1.0], "steps": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["simulate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "P0 has non-finite entries" in err
+        assert "positive definite" not in err
+
+
 class TestReadme:
     def test_config_example_runs(self, tmp_path):
         text = README.read_text()

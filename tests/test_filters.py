@@ -24,6 +24,7 @@ from ssue import (
     newton_update,
     predict,
     run_estimation,
+    simulate,
     ssue_step,
     tracking_preset,
     update_weights_log,
@@ -171,7 +172,7 @@ class TestNewtonUpdate:
     def test_full_newton_and_gauss_newton_share_fixed_point_on_ranges(
             self, rng, tracking_scenario):
         model = tracking_scenario.model
-        opts = dict(max_iterations=100, step_tolerance=1e-10)
+        opts = dict(max_iterations=100)
         for _ in range(5):
             pred = random_belief(rng, model.n, x_scale=3.0)
             y = model.map.evaluate(pred.x_mean + rng.normal(size=model.n) * 0.5)
@@ -226,11 +227,14 @@ class TestNewtonUpdate:
         with pytest.raises(ContractError):
             NewtonOptions(max_iterations=0)
         with pytest.raises(ContractError):
-            NewtonOptions(step_tolerance=0.0)
-        with pytest.raises(ContractError):
             NewtonOptions(mode="bfgs")
-        with pytest.raises(ContractError):
-            NewtonOptions(line_search="wolfe")
+
+    @pytest.mark.parametrize("removed", [{"step_tolerance": 1e-9}, {"line_search": "none"}],
+                             ids=["step_tolerance", "line_search"])
+    def test_removed_options_are_type_errors(self, removed):
+        # the update stops on the Newton decrement and always backtracks
+        with pytest.raises(TypeError):
+            NewtonOptions(**removed)
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +403,33 @@ class TestMapCalls:
         y = tracking_scenario.model.map.evaluate(rng.normal(size=4) * 3)
         model, calls = self.counting(tracking_scenario.model)
         assert model.M == 3
-        opts = NewtonOptions(max_iterations=max_iterations, line_search="none")
+        opts = NewtonOptions(max_iterations=max_iterations)
         result = ssue_step(initial_bank(model), y, model, opts)
         assert all(r.iterations_used == max_iterations for r in result.reports)
         assert calls == {"evaluate": expected, "jacobian": expected}
+
+    @pytest.fixture(scope="class")
+    def preset_run(self, tracking_scenario):
+        """The reports and map calls of 300 online steps of the preset at seed 42."""
+        model, calls = self.counting(tracking_scenario.model)
+        bank, reports = initial_bank(model), []
+        for y in simulate(tracking_scenario).measurements:
+            result = ssue_step(bank, y, model)
+            bank = result.bank
+            reports += result.reports
+        return reports, calls
+
+    def test_no_update_stalls_on_the_preset(self, preset_run):
+        # an update stops on its Newton decrement or at the iteration cap, never in
+        # a backtracking search that finds no step at the minimum
+        reports, _ = preset_run
+        assert len(reports) == 900
+        cap = NewtonOptions().max_iterations
+        assert all(r.iterations_used == cap for r in reports if not r.converged)
+
+    def test_preset_run_evaluation_budget(self, preset_run):
+        _, calls = preset_run
+        assert calls["evaluate"] <= 2000
 
     def test_single_state_map_is_contract_error(self, tracking_scenario):
         model = tracking_scenario.model

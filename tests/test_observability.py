@@ -58,6 +58,11 @@ class TestDeltaGrid:
         with pytest.raises(ContractError):
             DeltaGrid(values=[])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ContractError, match="non-finite"):
+            DeltaGrid(values=[bad, 0.1])
+
 
 class TestStackObservability:
     def test_k_zero_is_C(self, rng):
@@ -254,6 +259,10 @@ class TestReconstruct:
         out = reconstruct(Y, A, C, locations, grid, tol=1e-8)
         assert out.residual <= 1e-10
         assert out.loc_index == 1 and out.delta == -0.05
+
+    def test_non_finite_stack_is_contract_error(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            reconstruct(np.full(44, np.nan), self.A, self.C, self.locations, self.grid)
 
     def test_bad_stack_length_is_contract_error(self):
         with pytest.raises(ContractError):
