@@ -9,7 +9,8 @@ Commands::
     ssue analyze       --config cfg.json --input RECORD_DIR [--out DIR]
 
 The config file is a single JSON document; command line flags win over file
-values.  Exit codes: 0 success, 2 configuration error, 3 numerical failure,
+values.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
+(with ``--runs N``: any run failed; the others are still written),
 4 not observable on the grid at the tested horizon.
 """
 
@@ -26,14 +27,15 @@ import numpy as np
 from .analysis import kl_separation, linearized_C, loglik_ratio_trajectory
 from .errors import ConfigurationError, ContractError, NumericalFailureError
 from .filters import NewtonOptions
-from .model import SystemModel, model_from_json, validate_model
+from .model import SystemModel, validate_model
 from .observability import DeltaGrid, RankTolerance, pairwise_rank_test
 from .sim import (
     MetricsSummary,
+    RunRecord,
     Scenario,
+    _write_csv,
     estimate_batch,
     load_record,
-    run_metrics,
     save_record,
     simulate,
     tracking_preset,
@@ -46,20 +48,12 @@ EXIT_NOT_OBSERVABLE = 4
 
 
 def _scenario_from_config(cfg: dict) -> Scenario:
-    scn = cfg.get("scenario")
-    if not isinstance(scn, dict):
-        raise ConfigurationError("config needs a 'scenario' object")
+    scn = cfg["scenario"]
     try:
         if "model" in scn:
-            return Scenario(
-                model=model_from_json(json.dumps(scn["model"])),
-                true_delta=scn["true_delta"],
-                true_loc_index=scn["true_loc_index"],
-                x0_truth=np.asarray(scn["x0_truth"], dtype=float),
-                steps=_integer(scn["steps"], "scenario.steps"),
-                seed=_integer(scn.get("seed", 0), "scenario.seed"),
-                Ts=float(scn.get("Ts", 0.1)),
-            )
+            return Scenario.from_dict({"Ts": 0.1, **scn,
+                                       "steps": _integer(scn["steps"], "scenario.steps"),
+                                       "seed": _integer(scn.get("seed", 0), "scenario.seed")})
         return tracking_preset(**{key: scn[key] for key in (
             "Ts", "q", "r", "sensors", "true_delta", "true_loc_index",
             "x0", "steps", "seed", "delta_domain", "P0") if key in scn})
@@ -113,17 +107,13 @@ def _load_config(path: str) -> dict:
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
-    raw = cfg.get("scenario", {})
-    if not isinstance(raw, dict):
-        raise ConfigurationError("'scenario' must be a JSON object")
-    scn = dict(raw)
-    if getattr(args, "seed", None) is not None:
-        scn["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        scn["steps"] = args.steps
+    scn = dict(_object(cfg, "scenario"))
+    for key in ("seed", "steps"):
+        if getattr(args, key, None) is not None:
+            scn[key] = getattr(args, key)
     cfg = dict(cfg)
     cfg["scenario"] = scn
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg["output_dir"] = args.out
     return cfg
 
@@ -170,23 +160,28 @@ def cmd_estimate(cfg: dict, args) -> int:
             raise ConfigurationError("input record does not match the configured model")
         records = [record]
 
-    per_run = []
     scenarios = [replace(scenario, seed=scenario.seed + i) for i in range(runs)]
-    for i, outcome in enumerate(estimate_batch(scenarios, opts, records)):
-        if isinstance(outcome, NumericalFailureError):
-            raise outcome  # the runs of lower seeds are written, as in a seed-by-seed loop
-        directory = out / f"run_{i:03d}" if runs > 1 else out
-        save_record(outcome, directory)
-        per_run.append(run_metrics(outcome))
-        (directory / "summary.json").write_text(json.dumps(per_run[-1].to_dict(), indent=2))
+    outcomes = estimate_batch(scenarios, opts, records)
+    if runs == 1 and not isinstance(outcomes[0], RunRecord):
+        raise outcomes[0]
+    summary = MetricsSummary.from_outcomes(scenarios, outcomes)
+    metrics = iter(summary.per_run)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, RunRecord):
+            directory = out / f"run_{i:03d}" if runs > 1 else out
+            save_record(outcome, directory)
+            (directory / "summary.json").write_text(json.dumps(next(metrics).to_dict(), indent=2))
     if runs == 1:
-        print(f"identified {per_run[0].identified} "
-              f"(delta_hat {per_run[0].final_delta_hat:.4f}); outputs in {out}")
+        run = summary.per_run[0]
+        print(f"identified {run.identified} "
+              f"(delta_hat {run.final_delta_hat:.4f}); outputs in {out}")
         return EXIT_OK
-    summary = MetricsSummary.from_runs(per_run)
     (out / "aggregate.json").write_text(json.dumps(summary.to_dict(), indent=2))
-    print(f"{runs} runs: success rate {summary.success_rate:.2f}; outputs in {out}")
-    return EXIT_OK
+    for seed, message in summary.failures:
+        print(f"numerical failure: run with seed {seed}: {message}", file=sys.stderr)
+    print(f"{len(summary.per_run)} of {runs} runs completed: success rate "
+          f"{summary.success_rate:.2f}; outputs in {out}")
+    return EXIT_NUMERICAL if summary.failures else EXIT_OK
 
 
 def cmd_observability(cfg: dict, args) -> int:
@@ -250,20 +245,15 @@ def cmd_analyze(cfg: dict, args) -> int:
     grid = DeltaGrid(values=np.array([scenario.true_delta]))
     D = kl_separation(model, grid, horizon, x_ref=scenario.x0_truth)
     labels = model.locations.labels
-    with (out / "kl_matrix.csv").open("w", newline="") as fh:
-        fh.write("," + ",".join(labels) + "\n")
-        for t in range(M):
-            fh.write(labels[t] + "," + ",".join(repr(float(v)) for v in D[t]) + "\n")
+    _write_csv(out / "kl_matrix.csv", [""] + labels,
+               ([label] + row for label, row in zip(labels, D.tolist())))
 
     if pairs is None:
         pairs = [[t, i] for t in range(M) for i in range(M) if t != i]
     for t, i in pairs:
         traj = loglik_ratio_trajectory(record, t, i)
-        path = out / f"loglik_ratio_{labels[t]}_vs_{labels[i]}.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("step,log_ratio\n")
-            for k, v in enumerate(traj):
-                fh.write(f"{k},{float(v)!r}\n")
+        _write_csv(out / f"loglik_ratio_{labels[t]}_vs_{labels[i]}.csv", ["step", "log_ratio"],
+                   enumerate(traj.tolist()))
     print(f"KL matrix (horizon {horizon}) and {len(pairs)} ratio trajectories in {out}")
     return EXIT_OK
 
@@ -282,22 +272,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simultaneous state and uncertainty estimation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "generate truth and measurement CSVs"),
-        ("estimate", "run the filter (and EKF baseline) over a scenario"),
-        ("observability", "pairwise rank test over the delta grid"),
-        ("analyze", "KL matrix and evidence-ratio trajectories of a record"),
+    flags = {
+        "seed": dict(type=int, default=None, help="override scenario seed"),
+        "steps": dict(type=int, default=None, help="override run length"),
+        "input": dict(default=None, help="existing record directory"),
+        "runs": dict(type=int, default=1, help="Monte Carlo batch size (seeds seed..seed+N-1)"),
+    }
+    for name, help_text, own_flags in (
+        ("simulate", "generate truth and measurement CSVs", ("seed", "steps")),
+        ("estimate", "run the filter (and EKF baseline) over a scenario",
+         ("seed", "steps", "input", "runs")),
+        ("observability", "pairwise rank test over the delta grid", ()),
+        ("analyze", "KL matrix and evidence-ratio trajectories of a record", ("input",)),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--seed", type=int, default=None, help="override scenario seed")
-        cmd.add_argument("--steps", type=int, default=None, help="override run length")
         cmd.add_argument("--out", default=None, help="override output_dir")
-        cmd.add_argument("--input", default=None,
-                         help="existing record directory (estimate/analyze)")
-        if name == "estimate":
-            cmd.add_argument("--runs", type=int, default=1,
-                             help="Monte Carlo batch size (seeds seed..seed+N-1)")
+        for flag in own_flags:
+            cmd.add_argument(f"--{flag}", **flags[flag])
     return parser
 
 

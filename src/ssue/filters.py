@@ -27,7 +27,7 @@ LINE_SEARCH_MAX_HALVINGS = 20
 DECREMENT_TOL = 1e-12  # Newton decrement |g^T d| at which a MAP update stops, in cost (chi^2) units
 NORMAL_EQUATION_JITTER = 1e-12
 Q_JITTER = 1e-9  # added to a singular process covariance, so every prediction is SPD
-DEFAULT_WEIGHT_FLOOR = 1e-12
+WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -208,6 +208,8 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
 def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
     """:func:`newton_update` of B rows from their factors and h and C at the predicted
     means; a row that converges or stalls leaves the active set and does no further work."""
+    if opts.mode == "full_newton" and measurement_map.hessian is None:
+        raise ContractError("full_newton mode needs a measurement map with a hessian")
     (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
     LP_inv = _rowwise(lambda A, rows: np.linalg.inv(A), S_pred,
                       "predicted joint covariance is singular")
@@ -336,8 +338,6 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.  Full Newton
     needs the map's ``hessian``.
     """
-    if opts.mode == "full_newton" and measurement_map.hessian is None:
-        raise ContractError("full_newton mode needs a measurement map with a hessian")
     p, x = measurement_map.output_dim, pred.x_mean[None]
     y = _measurement_vector(y, p)[None]
     C = _map_call(measurement_map.jacobian, x, (p, pred.n), "jacobian")
@@ -361,9 +361,11 @@ def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: Measuremen
     return float(ll[0])
 
 
-def update_weights_log(mu_prev, log_lambdas, floor: float = DEFAULT_WEIGHT_FLOOR) -> np.ndarray:
+def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
     """Bayes update of the location probabilities from log evidences; stacks
-    (R, M) of weights and log evidences are updated one run (row) at a time."""
+    (R, M) of weights and log evidences are updated one run (row) at a time.
+    Each posterior weight is floored at ``WEIGHT_FLOOR`` and the row
+    renormalized, so no hypothesis dies for good."""
     mu, ll = np.asarray(mu_prev, dtype=float), np.asarray(log_lambdas, dtype=float)
     if mu.ndim != 2:
         mu, ll = mu.reshape(-1), ll.reshape(-1)
@@ -378,11 +380,8 @@ def update_weights_log(mu_prev, log_lambdas, floor: float = DEFAULT_WEIGHT_FLOOR
         raise DegenerateEvidenceError("all hypotheses received zero evidence")
     top = np.max(np.where(finite, log_post, -np.inf), axis=-1, keepdims=True)
     shifted = np.where(finite, np.exp(log_post - top), 0.0)
-    mu_new = shifted / shifted.sum(axis=-1, keepdims=True)
-    if floor > 0.0:
-        mu_new = np.maximum(mu_new, floor)
-        mu_new = mu_new / mu_new.sum(axis=-1, keepdims=True)
-    return mu_new
+    mu_new = np.maximum(shifted / shifted.sum(axis=-1, keepdims=True), WEIGHT_FLOOR)
+    return mu_new / mu_new.sum(axis=-1, keepdims=True)
 
 
 def ssue_step(bank: HypothesisBank, y, model: SystemModel,

@@ -28,6 +28,8 @@ def _as_matrix(value, name: str) -> np.ndarray:
     m = np.asarray(value, dtype=float)
     if m.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-d matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ConfigurationError(f"{name} has non-finite entries")
     return m
 
 
@@ -171,8 +173,8 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
     the Jacobian/Hessian there raise :class:`SingularGradientError` because the
     gradient direction is undefined.
     """
-    sensors = np.asarray(sensor_positions, dtype=float)
-    if sensors.ndim != 2 or sensors.shape[1] != 2 or sensors.shape[0] < 1:
+    sensors = _as_matrix(sensor_positions, "sensor_positions")
+    if sensors.shape[1] != 2 or sensors.shape[0] < 1:
         raise ConfigurationError("sensor_positions must be a non-empty list of (sx, sy) pairs")
     ix, iy = int(position_indices[0]), int(position_indices[1])
     if not (0 <= ix < state_dim and 0 <= iy < state_dim) or ix == iy:
@@ -260,9 +262,7 @@ class SystemModel:
         p = self.map.output_dim
         if R.shape != (p, p):
             raise ConfigurationError(f"R must be {p}x{p} to match the measurement map")
-        for name, m in (("A", A), ("Q", Q), ("R", R), ("P0", P0)):
-            if not np.isfinite(m).all():
-                raise ConfigurationError(f"{name} has non-finite entries")
+        for m in (A, Q, R, P0):
             m.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Q", Q)

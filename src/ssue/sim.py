@@ -51,6 +51,10 @@ class Scenario:
         x0 = np.asarray(self.x0_truth, dtype=float).reshape(-1)
         if x0.shape != (self.model.n,):
             raise ContractError(f"x0_truth must have shape ({self.model.n},), got {x0.shape}")
+        object.__setattr__(self, "true_delta", float(self.true_delta))
+        for name, value in (("x0_truth", x0.tolist()), ("true_delta", self.true_delta)):
+            if not np.isfinite(value).all():
+                raise ContractError(f"{name} must be finite, got {value}")
         for name in ("true_loc_index", "steps", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -65,7 +69,6 @@ class Scenario:
             raise ContractError("seed must be >= 0")
         x0.setflags(write=False)
         object.__setattr__(self, "x0_truth", x0)
-        object.__setattr__(self, "true_delta", float(self.true_delta))
         object.__setattr__(self, "Ts", float(self.Ts))
 
     def to_dict(self) -> dict:
@@ -78,6 +81,13 @@ class Scenario:
             "seed": self.seed,
             "Ts": self.Ts,
         }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> Scenario:
+        """Inverse of :meth:`to_dict`."""
+        return cls(model=model_from_json(json.dumps(d["model"])), true_delta=d["true_delta"],
+                   true_loc_index=d["true_loc_index"], x0_truth=d["x0_truth"],
+                   steps=d["steps"], seed=d["seed"], Ts=d["Ts"])
 
     def hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -160,7 +170,9 @@ def tracking_preset(Ts: float = 0.1, q: float = 0.05, r: float = 2.0,
 
 
 def simulate(scenario: Scenario) -> RunRecord:
-    """Generate the truth trajectory and measurements (no estimation)."""
+    """Generate the truth trajectory and measurements (no estimation).  A run
+    whose state or measurement overflows is a :class:`NumericalFailureError`
+    naming the first step that is not finite."""
     model = scenario.model
     n, p = model.n, model.p
     loc = model.locations[scenario.true_loc_index]
@@ -172,10 +184,16 @@ def simulate(scenario: Scenario) -> RunRecord:
     truth = np.empty((scenario.steps, n))
     meas = np.empty((scenario.steps, p))
     x = scenario.x0_truth.copy()
-    for k in range(scenario.steps):
-        x = A_true @ x + Fq @ rng.standard_normal(n)
-        meas[k] = model.map.evaluate(x) + Fr @ rng.standard_normal(p)
-        truth[k] = x
+    with np.errstate(all="ignore"):  # an overflow is reported below, by its step
+        for k in range(scenario.steps):
+            x = A_true @ x + Fq @ rng.standard_normal(n)
+            meas[k] = model.map.evaluate(x) + Fr @ rng.standard_normal(p)
+            truth[k] = x
+    bad = np.flatnonzero(~(np.isfinite(truth).all(axis=1) & np.isfinite(meas).all(axis=1)))
+    if bad.size:
+        raise NumericalFailureError(
+            f"simulated state or measurement is not finite at step {bad[0]}",
+            context={"step": int(bad[0]), "seed": scenario.seed})
     meta = {"seed": scenario.seed}
     try:
         meta["scenario_hash"] = scenario.hash()
@@ -304,9 +322,12 @@ class MetricsSummary:
     ssue_beats_ekf_rate: np.ndarray
 
     @classmethod
-    def from_runs(cls, per_run, failures=()) -> MetricsSummary:
-        """Aggregate completed runs; ``failures`` holds (seed, message) of the rest."""
-        per_run, failures = tuple(per_run), tuple(failures)
+    def from_outcomes(cls, scenarios, outcomes) -> MetricsSummary:
+        """Aggregate the :func:`estimate_batch` outcomes of ``scenarios``: the
+        metrics of every completed run, and (seed, message) of every failed one."""
+        per_run = tuple(run_metrics(rec) for rec in outcomes if isinstance(rec, RunRecord))
+        failures = tuple((scn.seed, str(exc)) for scn, exc in zip(scenarios, outcomes)
+                         if not isinstance(exc, RunRecord))
         if not per_run:
             raise NumericalFailureError("every Monte Carlo run failed",
                                         context={"failures": list(failures)})
@@ -364,11 +385,7 @@ def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int,
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
     scenarios = [replace(scenario_template, seed=seed_base + i) for i in range(n_runs)]
-    outcomes = estimate_batch(scenarios, opts)
-    return MetricsSummary.from_runs(
-        [run_metrics(rec) for rec in outcomes if isinstance(rec, RunRecord)],
-        [(scn.seed, str(exc)) for scn, exc in zip(scenarios, outcomes)
-         if isinstance(exc, NumericalFailureError)])
+    return MetricsSummary.from_outcomes(scenarios, estimate_batch(scenarios, opts))
 
 
 # ---------------------------------------------------------------------------
@@ -376,40 +393,41 @@ def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int,
 # (shortest round-trip floats), volatile data confined to meta.json.
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of Python numbers (``tolist()``), so floats are written as their repr."""
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v
-                             for v in row])
+        writer.writerows(rows)
+
+
+def _rows_by_step(*arrays):
+    """Per step k, the row [k, arrays[0][k]..., arrays[1][k]..., ...] in Python numbers."""
+    return ([k] + sum(row, []) for k, row in enumerate(zip(*(a.tolist() for a in arrays))))
 
 
 def save_record(record: RunRecord, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    steps = record.steps
     n = record.truth.shape[1]
     p = record.measurements.shape[1]
 
     _write_csv(directory / "truth.csv", ["step"] + [f"x{j}" for j in range(n)],
-               ([k] + list(record.truth[k]) for k in range(steps)))
+               _rows_by_step(record.truth))
     _write_csv(directory / "measurements.csv", ["step"] + [f"y{j}" for j in range(p)],
-               ([k] + list(record.measurements[k]) for k in range(steps)))
+               _rows_by_step(record.measurements))
 
     if record.mu is not None:
         M = record.mu.shape[1]
         _write_csv(
             directory / "weights.csv",
             ["step"] + [f"mu_{i}" for i in range(M)] + [f"log_lambda_{i}" for i in range(M)],
-            ([k] + list(record.mu[k]) + list(record.log_lambdas[k]) for k in range(steps)),
+            _rows_by_step(record.mu, record.log_lambdas),
         )
         _write_csv(
             directory / "estimates.csv",
             ["step", "delta_hat"] + [f"xhat_{j}" for j in range(n)]
             + [f"ekf_{j}" for j in range(n)] + ["identified"],
-            ([k, record.fused_means[k, 0]] + list(record.fused_means[k, 1:])
-             + list(record.ekf_means[k]) + [int(record.identified[k])]
-             for k in range(steps)),
+            _rows_by_step(record.fused_means, record.ekf_means, record.identified[:, None]),
         )
 
     meta = dict(record.meta)
@@ -454,16 +472,7 @@ def load_record(directory) -> RunRecord:
     if truth is None or meas is None:
         raise ContractError(f"{directory} is missing truth.csv or measurements.csv")
 
-    scenario = None
-    if "scenario" in meta:
-        sd = meta["scenario"]
-        scenario = Scenario(
-            model=model_from_json(json.dumps(sd["model"])),
-            true_delta=sd["true_delta"], true_loc_index=sd["true_loc_index"],
-            x0_truth=np.asarray(sd["x0_truth"]), steps=sd["steps"],
-            seed=sd["seed"], Ts=sd["Ts"],
-        )
-
+    scenario = Scenario.from_dict(meta["scenario"]) if "scenario" in meta else None
     record = RunRecord(scenario=scenario, truth=truth, measurements=meas, meta=meta)
     weights = read_csv("weights.csv")
     if weights is not None:

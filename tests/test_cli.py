@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ssue import NumericalFailureError, monte_carlo, tracking_preset
-from ssue.cli import main
+from ssue.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SUMMARY_KEYS = ["seed", "steps", "identified", "identification_correct", "final_mu",
@@ -126,8 +126,8 @@ class TestEstimateCommand:
                 assert (tmp_path / "batch" / f"run_{i:03d}" / name).read_bytes() \
                     == (solo / name).read_bytes()
 
-    def test_runs_batch_failure_keeps_lower_seeds_and_exits_3(self, tmp_path, monkeypatch,
-                                                              capsys):
+    def test_runs_batch_failure_writes_the_rest_and_exits_3(self, tmp_path, monkeypatch,
+                                                            capsys):
         import ssue.sim as sim_mod
         real = sim_mod.simulate
 
@@ -141,9 +141,14 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg, "--runs", "3"]) == 3
         out = tmp_path / "out"
         assert (out / "run_000" / "summary.json").exists()
-        assert not (out / "run_001").exists() and not (out / "run_002").exists()
-        assert not (out / "aggregate.json").exists()
-        assert "synthetic failure" in capsys.readouterr().err
+        assert (out / "run_002" / "summary.json").exists()
+        assert not (out / "run_001").exists()
+        aggregate = json.loads((out / "aggregate.json").read_text())
+        assert aggregate["runs"] == 2
+        assert aggregate["failed_runs"] == [{"seed": 6, "error": "synthetic failure"}]
+        assert "seed 6" in capsys.readouterr().err
+        summary = monte_carlo(tracking_preset(steps=10), n_runs=3, seed_base=5)
+        assert aggregate == json.loads(json.dumps(summary.to_dict()))
 
     def test_input_reuses_simulated_measurements(self, tmp_path):
         cfg = preset_config(tmp_path, out="sim", seed=11)
@@ -257,6 +262,59 @@ class TestNonFiniteModel:
         assert "positive definite" not in err
 
 
+class TestNonFiniteScenario:
+    """A NaN in a scenario field is a configuration error that names the field;
+    a simulation that overflows is a numerical failure that names the step."""
+
+    @staticmethod
+    def linear_with_nan_C():
+        model = json.loads(json.dumps(LINEAR_MODEL))
+        model["measurement"]["C"][0][0] = float("nan")
+        return {"model": model, "true_delta": -0.1, "true_loc_index": 0,
+                "x0_truth": [1.0, 1.0], "steps": 5, "seed": 1}
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "observability"])
+    @pytest.mark.parametrize("scenario, named", [
+        ({"steps": 5, "x0": [float("nan"), 5, 1, -0.5]}, "x0_truth"),
+        ({"steps": 5, "true_delta": float("nan")}, "true_delta"),
+        ({"steps": 5, "sensors": [[-10, 0], [10, float("nan")], [0, 10]]}, "sensor_positions"),
+        (None, "measurement C"),
+    ], ids=["x0", "true_delta", "sensor", "linear_C"])
+    def test_nan_field_exits_2_and_names_it(self, tmp_path, capsys, command, scenario, named):
+        scenario = self.linear_with_nan_C() if scenario is None else scenario
+        path = write_config(tmp_path, {"scenario": scenario, "output_dir": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err and ("non-finite" in err or "must be finite" in err)
+        assert not (tmp_path / "out" / "truth.csv").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    def test_overflow_exits_3_and_names_the_step(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"scenario": {"true_delta": 50.0},
+                                       "output_dir": str(tmp_path / "out")})
+        assert main([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "not finite at step 180" in err
+        assert not (tmp_path / "out" / "truth.csv").exists()
+
+
+class TestSubcommandFlags:
+    @pytest.mark.parametrize("argv", [
+        ["observability", "--seed", "3"],
+        ["observability", "--steps", "9"],
+        ["observability", "--input", "x"],
+        ["analyze", "--seed", "3"],
+        ["analyze", "--steps", "3"],
+        ["simulate", "--input", "x"],
+    ])
+    def test_unread_flag_is_rejected(self, tmp_path, argv):
+        path = write_config(tmp_path, {"output_dir": str(tmp_path / "out")})
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--config", path])
+        assert info.value.code == 2
+
+
 class TestReadme:
     def test_config_example_runs(self, tmp_path):
         text = README.read_text()
@@ -264,6 +322,28 @@ class TestReadme:
         path = write_config(tmp_path, json.loads(block.group(1)))
         assert main(["estimate", "--config", path, "--steps", "5",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+    def test_synopses_list_each_subcommands_options(self):
+        import argparse
+
+        import ssue.cli
+
+        parser = build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        want = {name: {s for a in cmd._actions for s in a.option_strings} - {"-h", "--help"}
+                for name, cmd in commands.items()}
+        readme = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
+        docstring = ssue.cli.__doc__.split("Commands::")[1].split("\n\n")[1]
+        for synopsis in (readme, docstring):
+            got = {}
+            for line in synopsis.splitlines():
+                words = line.split()
+                if words[:1] == ["ssue"]:
+                    name = words[1]
+                got.setdefault(name, set()).update(re.findall(r"--[a-z]+", line))
+            assert got == want
 
 
 class TestScenarioConfigRoundTrip:

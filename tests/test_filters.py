@@ -201,6 +201,18 @@ class TestNewtonUpdate:
         # Gauss-Newton never needs the Hessian
         newton_update(pred, y, without_hess, np.eye(2), NewtonOptions(mode="gauss_newton"))
 
+    def test_full_newton_without_hessian_raises_on_every_path(self):
+        scn = tracking_preset(seed=3, steps=3)
+        model = dataclasses.replace(scn.model,
+                                    map=dataclasses.replace(scn.model.map, hessian=None))
+        scn = dataclasses.replace(scn, model=model)
+        opts = NewtonOptions(mode="full_newton")
+        y = simulate(scn).measurements[0]
+        with pytest.raises(ContractError, match="hessian"):
+            ssue_step(initial_bank(model), y, model, opts)
+        with pytest.raises(ContractError, match="hessian"):
+            run_estimation(scn, opts)
+
     def test_backtracking_cost_trajectory_non_increasing(self, rng, tracking_scenario):
         model = tracking_scenario.model
         for _ in range(10):
@@ -271,15 +283,15 @@ class TestLikelihood:
 class TestUpdateWeights:
     def test_uniform_evidence_leaves_weights(self):
         mu = np.array([0.25, 0.5, 0.25])
-        out = update_weights_log(mu, np.log([3.0, 3.0, 3.0]), floor=0.0)
+        out = update_weights_log(mu, np.log([3.0, 3.0, 3.0]))
         npt.assert_allclose(out, mu, rtol=1e-14)
 
     def test_direct_normalization(self):
-        out = update_weights_log([0.5, 0.5], np.log([2.0, 1.0]), floor=0.0)
+        out = update_weights_log([0.5, 0.5], np.log([2.0, 1.0]))
         npt.assert_allclose(out, [2 / 3, 1 / 3], rtol=1e-14)
 
     def test_floor_revives_dead_hypotheses(self):
-        out = update_weights_log([1.0, 0.0], np.log([1.0, 1.0]), floor=1e-12)
+        out = update_weights_log([1.0, 0.0], np.log([1.0, 1.0]))
         assert out[1] == pytest.approx(1e-12, rel=1e-6)
         npt.assert_allclose(out.sum(), 1.0, atol=1e-15)
 

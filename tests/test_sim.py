@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -70,6 +71,41 @@ class TestTrackingPreset:
     def test_booleans_are_not_integers(self, field):
         with pytest.raises(ContractError, match=field):
             tracking_preset(**{field: True})
+
+
+class TestScenarioDict:
+    LINEAR_MODEL = {
+        "A": [[1.0, 0.1], [0.0, 1.0]],
+        "locations": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+        "delta_domain": [[-0.1, -0.01]],
+        "Q": [[0.01, 0.0], [0.0, 0.01]],
+        "R": [[0.5]],
+        "P0": [[1.0, 0.0], [0.0, 1.0]],
+        "measurement": {"type": "linear", "C": [[1.0, 0.0]]},
+    }
+
+    def test_from_dict_inverts_to_dict(self):
+        linear = ssue.Scenario(model=ssue.model_from_json(json.dumps(self.LINEAR_MODEL)),
+                               true_delta=-0.05, true_loc_index=1, x0_truth=[1.0, -2.0],
+                               steps=7, seed=3, Ts=0.2)
+        for scn in (tracking_preset(seed=17, steps=25), linear):
+            rebuilt = ssue.Scenario.from_dict(scn.to_dict())
+            assert rebuilt.hash() == scn.hash()
+            assert rebuilt.to_dict() == scn.to_dict()
+
+
+class TestNonFiniteScenario:
+    @pytest.mark.parametrize("field, value", [("x0_truth", [np.nan, 5.0, 1.0, -0.5]),
+                                              ("true_delta", np.inf)])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ContractError, match=field):
+            dataclasses.replace(tracking_preset(steps=5), **{field: value})
+
+    def test_overflowing_simulation_names_the_step(self):
+        scn = tracking_preset(true_delta=50.0)
+        with pytest.raises(NumericalFailureError, match="step 180") as info:
+            simulate(scn)
+        assert info.value.context["step"] == 180
 
 
 class TestSimulate:
