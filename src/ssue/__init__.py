@@ -52,13 +52,11 @@ from .model import (
     model_from_json,
     model_to_json,
     range_sensor_map,
-    validate_model,
 )
 from .observability import (
     DeltaGrid,
     ObservabilityReport,
     PairFailure,
-    RankTolerance,
     ReconstructionResult,
     pairwise_rank_test,
     reconstruct,

@@ -17,9 +17,10 @@ values.  Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,7 @@ import numpy as np
 from .analysis import kl_separation, linearized_C, loglik_ratio_trajectory
 from .errors import ConfigurationError, ContractError, NumericalFailureError
 from .filters import NewtonOptions
-from .model import SystemModel, validate_model
-from .observability import DeltaGrid, RankTolerance, pairwise_rank_test
+from .observability import DeltaGrid, pairwise_rank_test
 from .sim import (
     MetricsSummary,
     RunRecord,
@@ -48,15 +48,17 @@ EXIT_NOT_OBSERVABLE = 4
 
 
 def _scenario_from_config(cfg: dict) -> Scenario:
+    """The ``"model"`` form takes the fields of :meth:`Scenario.to_dict`, the preset
+    form the parameters of :func:`tracking_preset`."""
     scn = cfg["scenario"]
+    _only(scn, [f.name for f in fields(Scenario)] if "model" in scn
+          else inspect.signature(tracking_preset).parameters, "scenario.")
     try:
         if "model" in scn:
             return Scenario.from_dict({"Ts": 0.1, **scn,
                                        "steps": _integer(scn["steps"], "scenario.steps"),
                                        "seed": _integer(scn.get("seed", 0), "scenario.seed")})
-        return tracking_preset(**{key: scn[key] for key in (
-            "Ts", "q", "r", "sensors", "true_delta", "true_loc_index",
-            "x0", "steps", "seed", "delta_domain", "P0") if key in scn})
+        return tracking_preset(**scn)
     except KeyError as exc:
         raise ConfigurationError(f"scenario is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -68,6 +70,14 @@ def _object(cfg: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError(f"'{key}' must be an object")
     return value
+
+
+def _only(obj: dict, keys, where: str) -> dict:
+    """``obj``, refusing every key outside ``keys`` by its path ``where + key``."""
+    unknown = ", ".join(f"'{where}{key}'" for key in sorted(set(obj) - set(keys)))
+    if unknown:
+        raise ConfigurationError(f"unknown config key {unknown}")
+    return obj
 
 
 def _integer(value, name: str) -> int:
@@ -85,13 +95,6 @@ def _newton_from_config(cfg: dict) -> NewtonOptions:
         raise ConfigurationError(f"bad newton option: {exc}") from exc
 
 
-def _validated_model(model: SystemModel) -> SystemModel:
-    violations = validate_model(model)
-    if violations:
-        raise ConfigurationError("invalid model: " + "; ".join(violations))
-    return model
-
-
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -103,7 +106,7 @@ def _load_config(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
-    return cfg
+    return _only(cfg, ("scenario", "newton", "observability", "analysis", "output_dir"), "")
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -132,7 +135,6 @@ def _output_dir(cfg: dict) -> Path:
 
 def cmd_simulate(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
-    _validated_model(scenario.model)
     out = _output_dir(cfg)
     save_record(simulate(scenario), out)
     print(f"wrote truth/measurements for {scenario.steps} steps to {out}")
@@ -141,7 +143,6 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_estimate(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
-    _validated_model(scenario.model)
     opts = _newton_from_config(cfg)
     out = _output_dir(cfg)
 
@@ -186,22 +187,18 @@ def cmd_estimate(cfg: dict, args) -> int:
 
 def cmd_observability(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
-    _validated_model(scenario.model)
-    obs_cfg = _object(cfg, "observability")
+    obs_cfg = _only(_object(cfg, "observability"), ("K", "grid_points"), "observability.")
     K = _integer(obs_cfg.get("K", 10), "observability.K")
     if K < 1:
         raise ConfigurationError("observability K must be >= 1")
     grid_points = _integer(obs_cfg.get("grid_points", 101), "observability.grid_points")
-    tol_cfg = _object(obs_cfg, "tolerance_policy")
-    tolerance = RankTolerance(kind=tol_cfg.get("kind", "relative"),
-                              value=tol_cfg.get("value"))
     out = _output_dir(cfg)
 
     model = scenario.model
     # Nonlinear measurement maps are linearized at the scenario's initial truth.
     C = linearized_C(model, x_ref=scenario.x0_truth)
     grid = DeltaGrid.from_domain(model.domain, points_per_interval=grid_points)
-    report = pairwise_rank_test(model.A, C, model.locations, grid, K, tolerance)
+    report = pairwise_rank_test(model.A, C, model.locations, grid, K)
 
     doc = report.to_dict()
     doc["grid"] = {
@@ -222,7 +219,7 @@ def cmd_observability(cfg: dict, args) -> int:
 def cmd_analyze(cfg: dict, args) -> int:
     if args.input is None:
         raise ConfigurationError("analyze needs --input RECORD_DIR")
-    ana = _object(cfg, "analysis")
+    ana = _only(_object(cfg, "analysis"), ("horizon", "ratio_pairs"), "analysis.")
     horizon = _integer(ana.get("horizon", 20), "analysis.horizon")
     pairs = ana.get("ratio_pairs")
     if pairs is not None:

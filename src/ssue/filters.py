@@ -205,11 +205,16 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
                               bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
 
 
+def _check_newton_map(opts: NewtonOptions, measurement_map: MeasurementMap) -> None:
+    """Reject a full-Newton update of a measurement map that has no hessian."""
+    if opts.mode == "full_newton" and measurement_map.hessian is None:
+        raise ContractError("full_newton mode needs a measurement map with a hessian")
+
+
 def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
     """:func:`newton_update` of B rows from their factors and h and C at the predicted
     means; a row that converges or stalls leaves the active set and does no further work."""
-    if opts.mode == "full_newton" and measurement_map.hessian is None:
-        raise ContractError("full_newton mode needs a measurement map with a hessian")
+    _check_newton_map(opts, measurement_map)
     (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
     LP_inv = _rowwise(lambda A, rows: np.linalg.inv(A), S_pred,
                       "predicted joint covariance is singular")

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .belief import PSD_REL_TOL
-from .errors import ConfigurationError, SingularGradientError
+from .belief import psd_factor
+from .errors import ConfigurationError, NumericalFailureError, SingularGradientError
 
 _SYMMETRY_TOL = 1e-10
 
@@ -233,7 +233,9 @@ class SystemModel:
     locations, ``domain`` the admissible perturbation interval(s), ``Q``/``R``
     the process/measurement noise covariances, ``P0`` the initial state
     covariance, and ``map`` the measurement function.  Noise covariances are
-    time-invariant.
+    time-invariant.  ``Q``, ``R`` and ``P0`` must be symmetric and positive
+    semidefinite (:func:`~ssue.belief.psd_factor`); a consumer that needs more
+    checks that itself (the filter needs a positive definite ``R``).
     """
 
     A: np.ndarray
@@ -262,6 +264,13 @@ class SystemModel:
         p = self.map.output_dim
         if R.shape != (p, p):
             raise ConfigurationError(f"R must be {p}x{p} to match the measurement map")
+        for name, m in (("Q", Q), ("R", R), ("P0", P0)):
+            if np.max(np.abs(m - m.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
+                raise ConfigurationError(f"{name} is not symmetric")
+            try:
+                psd_factor(m, name)
+            except NumericalFailureError as exc:
+                raise ConfigurationError(str(exc)) from None
         for m in (A, Q, R, P0):
             m.setflags(write=False)
         object.__setattr__(self, "A", A)
@@ -280,34 +289,6 @@ class SystemModel:
     @property
     def M(self) -> int:
         return len(self.locations)
-
-
-def _symmetry_violation(M: np.ndarray, name: str) -> list[str]:
-    if np.max(np.abs(M - M.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(M))):
-        return [f"{name} is not symmetric"]
-    return []
-
-
-def _definite_violation(M: np.ndarray, name: str, strict: bool) -> list[str]:
-    eig = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = max(eig[-1], 1.0)
-    if strict and eig[0] <= 0.0:
-        return [f"{name} is not positive definite (min eigenvalue {eig[0]:.3e})"]
-    if not strict and eig[0] < -PSD_REL_TOL * scale:
-        return [f"{name} is not positive semidefinite (min eigenvalue {eig[0]:.3e})"]
-    return []
-
-
-def validate_model(model: SystemModel) -> list[str]:
-    """Check the symmetry/definiteness invariants; returns violations (empty = valid)."""
-    violations = []
-    violations += _symmetry_violation(model.Q, "Q")
-    violations += _symmetry_violation(model.R, "R")
-    violations += _symmetry_violation(model.P0, "P0")
-    violations += _definite_violation(model.Q, "Q", strict=False)
-    violations += _definite_violation(model.R, "R", strict=True)
-    violations += _definite_violation(model.P0, "P0", strict=True)
-    return violations
 
 
 def _measurement_from_spec(spec: dict, n: int) -> MeasurementMap:

@@ -56,31 +56,10 @@ class DeltaGrid:
         return cls(values=np.asarray(values), resolution=max(spacings))
 
 
-@dataclass(frozen=True)
-class RankTolerance:
-    """Numerical-rank cutoff: singular values above the cutoff count.
-
-    "relative" uses ``value * sigma_max`` (default value max(rows, cols) * eps,
-    the standard rule); "absolute" uses ``value`` directly.
-    """
-
-    kind: str = "relative"
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("relative", "absolute"):
-            raise ContractError(f"unknown tolerance kind {self.kind!r}")
-        if self.kind == "absolute" and self.value is None:
-            raise ContractError("absolute tolerance needs a value")
-
-    def cutoff(self, shape: tuple[int, int], sigma_max: np.ndarray) -> np.ndarray:
-        if self.kind == "absolute":
-            return np.full_like(np.asarray(sigma_max, dtype=float), self.value)
-        factor = self.value if self.value is not None else max(shape) * np.finfo(float).eps
-        return factor * np.asarray(sigma_max, dtype=float)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
+def _rank_cutoff(shape: tuple[int, ...], sigma_max: np.ndarray) -> np.ndarray:
+    """The numerical-rank rule: singular values of a rows x cols matrix count
+    when they exceed max(rows, cols) * eps * sigma_max (numpy's matrix_rank rule)."""
+    return max(shape[-2:]) * np.finfo(float).eps * sigma_max
 
 
 @dataclass(frozen=True)
@@ -100,7 +79,6 @@ class ObservabilityReport:
     horizon_tested: int
     smallest_passing_N: int | None
     failures: tuple[PairFailure, ...]
-    tolerance: RankTolerance
     warnings: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
@@ -117,7 +95,6 @@ class ObservabilityReport:
                 for f in self.failures
             ],
             "warnings": list(self.warnings),
-            "tolerance": self.tolerance.to_dict(),
         }
 
 
@@ -154,7 +131,7 @@ def stack_observability(delta: float, loc: LocationMatrix, A, C, k: int) -> np.n
     return blocks.reshape(-1, blocks.shape[-1])
 
 
-def _pair_ranks(stacks: np.ndarray, ia, ib, tolerance: RankTolerance) -> np.ndarray:
+def _pair_ranks(stacks: np.ndarray, ia, ib) -> np.ndarray:
     """Numerical ranks of [stacks[a], stacks[b]] for each pair, via singular
     values, in chunks of pairs to bound memory."""
     ranks = np.empty(ia.size, dtype=int)
@@ -162,13 +139,12 @@ def _pair_ranks(stacks: np.ndarray, ia, ib, tolerance: RankTolerance) -> np.ndar
         part = slice(start, start + _SVD_CHUNK)
         X = np.concatenate([stacks[ia[part]], stacks[ib[part]]], axis=2)
         sv = np.linalg.svd(X, compute_uv=False)
-        cut = tolerance.cutoff(X.shape[-2:], sv[:, 0])
-        ranks[part] = (sv > cut[:, None]).sum(axis=1)
+        ranks[part] = (sv > _rank_cutoff(X.shape, sv[:, :1])).sum(axis=1)
     return ranks
 
 
-def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid, K: int,
-                       tolerance: RankTolerance = RankTolerance()) -> ObservabilityReport:
+def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid,
+                       K: int) -> ObservabilityReport:
     """Rank-test every unordered pair of distinct (delta, location) hypotheses.
 
     Every pair's side-by-side matrix is rank-checked once at horizon K; the
@@ -192,7 +168,7 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid, K: int,
     ]
 
     ia, ib = np.triu_indices(N, k=1)
-    ranks_at_K = _pair_ranks(full, ia, ib, tolerance)
+    ranks_at_K = _pair_ranks(full, ia, ib)
     failing = np.flatnonzero(ranks_at_K < required)
     smallest = None
     if failing.size == 0:
@@ -201,8 +177,7 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid, K: int,
         for k in range(1, K):
             rows = (k + 1) * p
             if pool.size and rows >= required:  # rank <= row count below that
-                pool = pool[_pair_ranks(full[:, :rows], ia[pool], ib[pool], tolerance)
-                            < required]
+                pool = pool[_pair_ranks(full[:, :rows], ia[pool], ib[pool]) < required]
             if pool.size == 0:
                 smallest = k
                 break
@@ -213,7 +188,7 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid, K: int,
         for a, b, r in zip(ia[failing], ib[failing], ranks_at_K[failing])
     )
     return ObservabilityReport(horizon_tested=K, smallest_passing_N=smallest,
-                               failures=failures, tolerance=tolerance, warnings=tuple(warnings))
+                               failures=failures, warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)
@@ -250,10 +225,10 @@ def reconstruct(Y_star, A, C, locations: LocationSet, grid: DeltaGrid,
 
     deltas, locs, entries = _hypotheses(grid, locations)
     O = _stack_blocks(deltas, entries, A, C, k).reshape(deltas.size, Y.size, -1)
-    # Minimum-norm least squares for every candidate at once, with lstsq's
-    # singular-value cutoff eps * max(rows, cols) * sigma_max.
+    # Minimum-norm least squares for every candidate at once, over the
+    # singular values that count toward numerical rank.
     U, s, Vt = np.linalg.svd(O, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(O.shape[1:]) * s[:, :1]
+    keep = s > _rank_cutoff(O.shape, s[:, :1])
     coef = np.divide(Y @ U, s, out=np.zeros_like(s), where=keep)
     x0s = (coef[:, None, :] @ Vt)[:, 0]
     residuals = np.linalg.norm((O @ x0s[:, :, None])[..., 0] - Y, axis=1) / norm_Y

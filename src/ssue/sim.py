@@ -19,7 +19,8 @@ import numpy as np
 
 from .belief import psd_factor
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import NewtonOptions, _model_constants, _step_rows, ekf_step, initial_bank
+from .filters import (NewtonOptions, _check_newton_map, _model_constants, _step_rows,
+                      ekf_step, initial_bank)
 from .model import (
     LocationMatrix,
     LocationSet,
@@ -229,7 +230,9 @@ def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=Non
     model = scenarios[0].model
     if any(scn.model is not model for scn in scenarios):
         raise ContractError("the scenarios of a batch must share one model")
-    _model_constants(model)  # rejects a model the filter cannot run before simulating it
+    # reject a model or mode the filter cannot run before simulating
+    _model_constants(model)
+    _check_newton_map(opts, model.map)
     outcomes = []
     for scn, rec in zip(scenarios, records):
         try:

@@ -5,7 +5,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssue import NumericalFailureError, monte_carlo, tracking_preset
+from ssue import (
+    ConfigurationError,
+    ContractError,
+    NumericalFailureError,
+    Scenario,
+    model_from_json,
+    monte_carlo,
+    run_estimation,
+    tracking_preset,
+)
 from ssue.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -224,6 +233,82 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+
+class TestUnknownConfigKeys:
+    """Each config object accepts only the keys it reads; a typo is named, not ignored."""
+
+    @pytest.mark.parametrize("command, cfg, named", [
+        ("simulate", {"scenario": {"sed": 7, "steps": 10}}, "'scenario.sed'"),
+        ("estimate", {"scenario": {**TestConfigTypes.LINEAR_SCENARIO, "steps": 10,
+                                   "x0": [1.0, 1.0]}}, "'scenario.x0'"),
+        ("observability", {"scenario": {"steps": 10}, "observability": {"k": 3}},
+         "'observability.k'"),
+        ("analyze", {"analysis": {"horizn": 4}}, "'analysis.horizn'"),
+        ("simulate", {"scenario": {"steps": 10}, "ouput_dir": "elsewhere"}, "'ouput_dir'"),
+    ], ids=["preset_seed", "model_x0", "observability_K", "analysis_horizon", "top_level"])
+    def test_typo_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, named):
+        path = write_config(tmp_path, {**cfg, "output_dir": str(tmp_path / "out")})
+        extra = ["--input", str(tmp_path / "record")] if command == "analyze" else []
+        assert main([command, "--config", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"unknown config key {named}" in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestFaultyModelAgreement:
+    """The CLI and the API give one verdict on each faulty covariance: SystemModel
+    refuses a Q, R or P0 that is asymmetric or indefinite, and the filter alone
+    refuses a singular R."""
+
+    FAULTS = {
+        "asymmetric_Q": ("Q", [[0.001, 0.5], [0.0, 0.001]]),
+        "singular_R": ("R", [[0.5, 0.0], [0.0, 0.0]]),
+        "singular_P0": ("P0", [[1.0, 0.0], [0.0, 0.0]]),
+        "indefinite_Q": ("Q", [[0.001, 0.0], [0.0, -0.001]]),
+    }
+
+    # exit codes of simulate, estimate, observability and analyze; the error of
+    # constructing the model; the error of run_estimation on it
+    @pytest.mark.parametrize("fault, exits, construct_error, estimate_error", [
+        ("asymmetric_Q", (2, 2, 2, 2), ConfigurationError, None),
+        ("singular_R", (0, 2, 0, 0), None, ContractError),
+        ("singular_P0", (0, 0, 0, 0), None, None),
+        ("indefinite_Q", (2, 2, 2, 2), ConfigurationError, None),
+    ], ids=list(FAULTS))
+    def test_cli_and_api_agree(self, tmp_path, fault, exits, construct_error, estimate_error):
+        name, matrix = self.FAULTS[fault]
+        model = {**LINEAR_MODEL, name: matrix}
+        scenario = {**TestConfigTypes.LINEAR_SCENARIO, "steps": 10}
+        # analyze reads the model from the record: a sound record with the faulty model
+        sound = write_config(tmp_path, {"scenario": {**scenario, "model": LINEAR_MODEL},
+                                        "output_dir": str(tmp_path / "record")}, "sound.json")
+        assert main(["estimate", "--config", sound]) == 0
+        meta = tmp_path / "record" / "meta.json"
+        doc = json.loads(meta.read_text())
+        doc["scenario"]["model"] = model
+        meta.write_text(json.dumps(doc))
+
+        got = []
+        for command in ("simulate", "estimate", "observability", "analyze"):
+            cfg = write_config(tmp_path, {"scenario": {**scenario, "model": model},
+                                          "analysis": {"horizon": 4},
+                                          "output_dir": str(tmp_path / command)})
+            extra = ["--input", str(tmp_path / "record")] if command == "analyze" else []
+            got.append(main([command, "--config", cfg, *extra]))
+        assert tuple(got) == exits
+
+        if construct_error is not None:
+            with pytest.raises(construct_error, match=name):
+                model_from_json(json.dumps(model))
+            return
+        scn = Scenario.from_dict({**scenario, "model": model, "Ts": 0.1})
+        if estimate_error is not None:
+            with pytest.raises(estimate_error, match=name):
+                run_estimation(scn)
+        else:
+            assert run_estimation(scn).mu.shape == (10, 2)
 
 
 class TestNewtonConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from ssue import (
     model_from_json,
     model_to_json,
     range_sensor_map,
-    validate_model,
+    tracking_preset,
 )
 
 
@@ -147,23 +148,28 @@ class TestLocationTypes:
         assert d.contains(-0.15) and not d.contains(0.0)
 
 
-class TestValidateModel:
-    def test_tracking_preset_is_valid(self, tracking_scenario):
-        assert validate_model(tracking_scenario.model) == []
+class TestModelCovariances:
+    """SystemModel accepts symmetric PSD Q, R and P0 and refuses anything else by name."""
 
-    def test_asymmetric_Q_reported(self, tracking_scenario):
-        model = tracking_scenario.model
-        Q = model.Q.copy()
+    def test_tracking_preset_constructs(self):
+        assert tracking_preset().model.n == 4
+
+    def test_asymmetric_Q_rejected(self, tracking_scenario):
+        Q = tracking_scenario.model.Q.copy()
         Q[0, 1] = 0.5  # break symmetry
-        bad = type(model)(A=model.A, locations=model.locations, domain=model.domain,
-                          Q=Q, R=model.R, P0=model.P0, map=model.map)
-        assert any("Q" in v and "symmetric" in v for v in validate_model(bad))
+        with pytest.raises(ConfigurationError, match="Q is not symmetric"):
+            dataclasses.replace(tracking_scenario.model, Q=Q)
 
-    def test_zero_R_reported(self, tracking_scenario):
-        model = tracking_scenario.model
-        bad = type(model)(A=model.A, locations=model.locations, domain=model.domain,
-                          Q=model.Q, R=np.zeros_like(model.R), P0=model.P0, map=model.map)
-        assert any("R" in v and "definite" in v for v in validate_model(bad))
+    def test_indefinite_R_rejected(self, tracking_scenario):
+        R = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(ConfigurationError, match=r"\bR\b"):
+            dataclasses.replace(tracking_scenario.model, R=R)
+
+    @pytest.mark.parametrize("name", ["R", "P0"])
+    def test_zero_covariance_constructs(self, tracking_scenario, name):
+        zero = np.zeros_like(getattr(tracking_scenario.model, name))
+        model = dataclasses.replace(tracking_scenario.model, **{name: zero})
+        npt.assert_array_equal(getattr(model, name), zero)
 
 
 class TestModelJson:

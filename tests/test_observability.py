@@ -9,7 +9,6 @@ from ssue import (
     LocationMatrix,
     LocationSet,
     NoMatchError,
-    RankTolerance,
     UncertaintyDomain,
     pairwise_rank_test,
     reconstruct,
@@ -173,12 +172,6 @@ class TestPairwiseRankTest:
             Oa = stack_observability(da, locations[ia], A, C, 10)
             Ob = stack_observability(db, locations[ib], A, C, 10)
             assert np.linalg.matrix_rank(np.hstack([Oa, Ob])) <= cap
-
-    def test_absolute_tolerance_policy(self, rng):
-        A, C, locations = two_state_example()
-        report = pairwise_rank_test(A, C, locations, DeltaGrid(values=[-0.1]), K=2,
-                                    tolerance=RankTolerance(kind="absolute", value=1e-12))
-        assert report.smallest_passing_N == 1
 
     def test_invalid_horizon(self):
         A, C, locations = two_state_example()

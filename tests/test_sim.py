@@ -139,9 +139,8 @@ class TestSimulate:
     def test_indefinite_Q_is_numerical_failure(self):
         scn = tracking_preset(steps=5)
         bad_Q = np.diag([1.0, 1.0, 1.0, -1.0])
-        model = dataclasses.replace(scn.model, Q=bad_Q)
-        with pytest.raises(NumericalFailureError):
-            simulate(dataclasses.replace(scn, model=model))
+        with pytest.raises(ConfigurationError, match="Q is indefinite"):
+            dataclasses.replace(scn.model, Q=bad_Q)
 
 
 class TestRunEstimation:
@@ -293,6 +292,19 @@ class TestEstimateBatchInputs:
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
             monte_carlo(scn, n_runs=3, seed_base=0)
         assert calls == []
+
+    def test_full_newton_without_hessian_rejected_before_simulating(self, monkeypatch):
+        import ssue.sim as sim_mod
+        scn = tracking_preset(steps=5)
+        no_hessian = dataclasses.replace(scn.model.map, hessian=None)
+        scn = dataclasses.replace(scn, model=dataclasses.replace(scn.model, map=no_hessian))
+        calls, real = [], sim_mod.simulate
+        monkeypatch.setattr(sim_mod, "simulate",
+                            lambda scenario: (calls.append(scenario), real(scenario))[1])
+        with pytest.raises(ContractError, match="full_newton mode needs a measurement map"):
+            monte_carlo(scn, 5, 0, ssue.NewtonOptions(mode="full_newton"))
+        assert calls == []
+
 
 class TestRecordPersistence:
     def test_round_trip(self, tmp_path):
