@@ -89,10 +89,8 @@ def _integer(value, name: str) -> int:
 
 
 def _newton_from_config(cfg: dict) -> NewtonOptions:
-    try:
-        return NewtonOptions(**_object(cfg, "newton"))
-    except TypeError as exc:
-        raise ConfigurationError(f"bad newton option: {exc}") from exc
+    newton = _only(_object(cfg, "newton"), ("max_iterations",), "newton.")
+    return NewtonOptions(**{key: _integer(value, f"newton.{key}") for key, value in newton.items()})
 
 
 def _load_config(path: str) -> dict:

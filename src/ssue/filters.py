@@ -2,9 +2,9 @@
 
 One filter step runs, per candidate location: a prediction of the joint
 [delta; x] belief through the perturbed dynamics, an innovation likelihood,
-and an iterative MAP measurement update (Newton or Gauss-Newton on the
-negative log posterior).  Location probabilities are then reweighted by the
-likelihoods and the bank is collapsed to a fused estimate.
+and an iterative MAP measurement update (Gauss-Newton on the negative log
+posterior, i.e. the iterated EKF).  Location probabilities are then
+reweighted by the likelihoods and the bank is collapsed to a fused estimate.
 
 One stacked kernel, ``_step_rows``, does all of this for B = runs x M rows at
 once; rows never mix, so a run's numbers are bit-identical alone or in a batch.
@@ -32,22 +32,21 @@ WEIGHT_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    """Knobs of the iterative MAP update.
+    """Knobs of the Gauss-Newton MAP update.
 
-    ``mode`` selects Gauss-Newton (second-order residual term dropped) or full
-    Newton.  Every step is backtracked, halving it until the cost stops
-    increasing; a row stops after the step whose Newton decrement |g^T d| is
-    below ``DECREMENT_TOL``, or after ``max_iterations`` steps.
+    Every step is backtracked, halving it until the cost stops increasing; a
+    row stops after the step whose Newton decrement |g^T d| is below
+    ``DECREMENT_TOL``, or after ``max_iterations`` steps.
     """
 
     max_iterations: int = 10
-    mode: str = "gauss_newton"
 
     def __post_init__(self):
-        if self.max_iterations < 1:
+        k = self.max_iterations
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ContractError(f"max_iterations must be an integer, got {k!r}")
+        if k < 1:
             raise ContractError("max_iterations must be >= 1")
-        if self.mode not in ("gauss_newton", "full_newton"):
-            raise ContractError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -205,16 +204,9 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
                               bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
 
 
-def _check_newton_map(opts: NewtonOptions, measurement_map: MeasurementMap) -> None:
-    """Reject a full-Newton update of a measurement map that has no hessian."""
-    if opts.mode == "full_newton" and measurement_map.hessian is None:
-        raise ContractError("full_newton mode needs a measurement map with a hessian")
-
-
 def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
     """:func:`newton_update` of B rows from their factors and h and C at the predicted
     means; a row that converges or stalls leaves the active set and does no further work."""
-    _check_newton_map(opts, measurement_map)
     (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
     LP_inv = _rowwise(lambda A, rows: np.linalg.inv(A), S_pred,
                       "predicted joint covariance is singular")
@@ -241,11 +233,6 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
         Jt = np.swapaxes(Ja, -1, -2)
         xa, ra, ca, ya, LPa, xpa = xi[act], r[act], cost[act], y[act], LP_inv[act], xi_pred[act]
         g, N = _mv(Jt, ra), Jt @ Ja
-        if opts.mode == "full_newton":
-            # residual curvature -sum_m w_m Hess(h_m), w = R^{-1} (y - h(x))
-            hess = _map_call(measurement_map.hessian, xa[:, 1:], (p, n, n), "hessian")
-            w = _mv(LR_inv.T, ra[:, :p])
-            N[:, 1:, 1:] -= (w[:, None, :] @ hess.reshape(-1, p, n * n)).reshape(-1, n, n)
         d = _rowwise(lambda A, rows: np.linalg.solve(A, -g[rows, :, None])[..., 0], N,
                      "singular normal-equations matrix in the MAP update even after jitter",
                      NORMAL_EQUATION_JITTER)
@@ -340,8 +327,7 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     P^{-1}, so the factor choice is immaterial); Gauss-Newton on it is the
     iterated EKF update (Bell & Cathey 1993).  The posterior covariance is
     the inverse Fisher information [H + P_pred^{-1}]^{-1} with
-    H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.  Full Newton
-    needs the map's ``hessian``.
+    H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.
     """
     p, x = measurement_map.output_dim, pred.x_mean[None]
     y = _measurement_vector(y, p)[None]

@@ -128,37 +128,31 @@ class UncertaintyDomain:
 
 @dataclass(frozen=True)
 class MeasurementMap:
-    """Measurement function h with its Jacobian and (optionally) Hessians.
+    """Measurement function h with its Jacobian.
 
     Each function takes a state ``(n,)`` or a stack of states ``(..., n)``
-    and works row by row: ``evaluate`` gives h(x) ``(..., p)``, ``jacobian``
-    the partials ``(..., p, n)`` and ``hessian``, when present, one symmetric
-    Hessian per output ``(..., p, n, n)``.  The filter calls each once per
+    and works row by row: ``evaluate`` gives h(x) ``(..., p)`` and
+    ``jacobian`` the partials ``(..., p, n)``.  The filter calls each once per
     stage for all rows and rejects a wrongly shaped result (``ContractError``).
-    Full Newton (``NewtonOptions(mode="full_newton")``) needs ``hessian``;
-    Gauss-Newton does not.
+    The Gauss-Newton MAP update needs no second derivatives.
     """
 
     output_dim: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def linear_map(C) -> MeasurementMap:
-    """Measurement map h(x) = C x with constant Jacobian and zero Hessians."""
+    """Measurement map h(x) = C x with constant Jacobian."""
     C = _as_matrix(C, "C")
     if C.shape[0] < 1:
         raise ConfigurationError("C needs at least one row")
     C.setflags(write=False)
     p, n = C.shape
-    zero_hess = np.zeros((p, n, n))
-    zero_hess.setflags(write=False)
     return MeasurementMap(
         output_dim=p,
         evaluate=lambda x: (C @ np.asarray(x, dtype=float)[..., None])[..., 0],
         jacobian=lambda x: np.broadcast_to(C, np.shape(x)[:-1] + (p, n)),
-        hessian=lambda x: np.broadcast_to(zero_hess, np.shape(x)[:-1] + (p, n, n)),
     )
 
 
@@ -168,10 +162,10 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
     """Ranges from planar position components of the state to fixed sensors.
 
     Output i is the Euclidean distance between ``(x[ix], x[iy])`` and sensor i.
-    Jacobian and Hessian are analytic and zero outside the position
-    coordinates.  Evaluating the range at a sensor position is legal (range 0);
-    the Jacobian/Hessian there raise :class:`SingularGradientError` because the
-    gradient direction is undefined.
+    The Jacobian is analytic and zero outside the position coordinates.
+    Evaluating the range at a sensor position is legal (range 0); the Jacobian
+    there raises :class:`SingularGradientError` because the gradient direction
+    is undefined.
     """
     sensors = _as_matrix(sensor_positions, "sensor_positions")
     if sensors.shape[1] != 2 or sensors.shape[0] < 1:
@@ -211,18 +205,7 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
         J[..., iy] = dy / r
         return J
 
-    def hessian(x):
-        # Hessian of ||p - s|| is (I - u u^T) / r on the position block.
-        dx, dy, r = _offsets(x)
-        _guard(r, x)
-        H = np.zeros(r.shape + (state_dim, state_dim))
-        ux, uy = dx / r, dy / r
-        H[..., ix, ix] = (1.0 - ux * ux) / r
-        H[..., iy, iy] = (1.0 - uy * uy) / r
-        H[..., ix, iy] = H[..., iy, ix] = -(ux * uy) / r
-        return H
-
-    return MeasurementMap(output_dim=p, evaluate=evaluate, jacobian=jacobian, hessian=hessian)
+    return MeasurementMap(output_dim=p, evaluate=evaluate, jacobian=jacobian)
 
 
 @dataclass(frozen=True)

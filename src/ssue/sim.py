@@ -19,8 +19,7 @@ import numpy as np
 
 from .belief import psd_factor
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import (NewtonOptions, _check_newton_map, _model_constants, _step_rows,
-                      ekf_step, initial_bank)
+from .filters import NewtonOptions, _model_constants, _step_rows, ekf_step, initial_bank
 from .model import (
     LocationMatrix,
     LocationSet,
@@ -230,9 +229,7 @@ def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=Non
     model = scenarios[0].model
     if any(scn.model is not model for scn in scenarios):
         raise ContractError("the scenarios of a batch must share one model")
-    # reject a model or mode the filter cannot run before simulating
-    _model_constants(model)
-    _check_newton_map(opts, model.map)
+    _model_constants(model)  # reject a model the filter cannot run before simulating
     outcomes = []
     for scn, rec in zip(scenarios, records):
         try:
@@ -474,6 +471,11 @@ def load_record(directory) -> RunRecord:
     meas = read_csv("measurements.csv")
     if truth is None or meas is None:
         raise ContractError(f"{directory} is missing truth.csv or measurements.csv")
+    if not len(meas):
+        raise ConfigurationError(f"{directory / 'measurements.csv'} holds no steps")
+    if len(truth) != len(meas):
+        raise ConfigurationError(f"{directory / 'truth.csv'} has {len(truth)} steps, "
+                                 f"measurements.csv has {len(meas)}")
 
     scenario = Scenario.from_dict(meta["scenario"]) if "scenario" in meta else None
     record = RunRecord(scenario=scenario, truth=truth, measurements=meas, meta=meta)

@@ -184,6 +184,22 @@ class TestEstimateCommand:
         assert "measurements.csv" in err and "line 4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("truth_rows, meas_rows, named", [
+        (0, 0, r"measurements\.csv holds no steps"),
+        (3, 6, r"truth\.csv has 3 steps, measurements\.csv has 6"),
+    ], ids=["headers_only", "short_truth"])
+    def test_input_record_without_matching_steps_exits_2(self, tmp_path, capsys,
+                                                         truth_rows, meas_rows, named):
+        cfg = preset_config(tmp_path, out="sim", seed=11, steps=6)
+        assert main(["simulate", "--config", cfg]) == 0
+        for name, rows in (("truth.csv", truth_rows), ("measurements.csv", meas_rows)):
+            path = tmp_path / "sim" / name
+            path.write_text("\n".join(path.read_text().splitlines()[:1 + rows]) + "\n")
+        capsys.readouterr()
+        cfg2 = preset_config(tmp_path, out="est", seed=11, steps=6)
+        assert main(["estimate", "--config", cfg2, "--input", str(tmp_path / "sim")]) == 2
+        assert re.search(named, capsys.readouterr().err)
+
     def test_seed_override_wins(self, tmp_path):
         cfg = preset_config(tmp_path, seed=5, steps=10)
         assert main(["estimate", "--config", cfg, "--seed", "99",
@@ -222,9 +238,14 @@ class TestConfigTypes:
         ("analyze", {"analysis": {"ratio_pairs": 5}}, "analysis.ratio_pairs"),
         ("analyze", {"analysis": {"ratio_pairs": [[0]]}}, "analysis.ratio_pairs"),
         ("analyze", {"analysis": {"ratio_pairs": [[0.5, 1]]}}, "analysis.ratio_pairs"),
+        ("estimate", {"scenario": {"steps": 10}, "newton": {"max_iterations": 2.5}},
+         "'newton.max_iterations' must be an integer, got 2.5"),
+        ("estimate", {"scenario": {"steps": 10}, "newton": {"max_iterations": True}},
+         "'newton.max_iterations' must be an integer, got True"),
     ], ids=["K", "tolerance_policy", "seed", "steps", "true_loc_index", "steps_bool",
             "sensors_estimate", "sensors_observability", "K_fractional", "model_steps_fractional",
-            "model_seed_bool", "ratio_pairs_int", "ratio_pairs_short", "ratio_pairs_fractional"])
+            "model_seed_bool", "ratio_pairs_int", "ratio_pairs_short", "ratio_pairs_fractional",
+            "newton_max_iterations_fractional", "newton_max_iterations_bool"])
     def test_wrong_type_exits_2_without_traceback(self, tmp_path, capsys, command, cfg, named):
         path = write_config(tmp_path, {**cfg, "output_dir": str(tmp_path / "out")})
         # analyze checks its options before it reads the (here absent) record
@@ -246,7 +267,11 @@ class TestUnknownConfigKeys:
          "'observability.k'"),
         ("analyze", {"analysis": {"horizn": 4}}, "'analysis.horizn'"),
         ("simulate", {"scenario": {"steps": 10}, "ouput_dir": "elsewhere"}, "'ouput_dir'"),
-    ], ids=["preset_seed", "model_x0", "observability_K", "analysis_horizon", "top_level"])
+        ("estimate", {"scenario": {"steps": 10}, "newton": {"mode": "full_newton"}},
+         "'newton.mode'"),
+        ("estimate", {"scenario": {"steps": 10}, "newton": {"max_iter": 3}}, "'newton.max_iter'"),
+    ], ids=["preset_seed", "model_x0", "observability_K", "analysis_horizon", "top_level",
+            "newton_mode", "newton_max_iter"])
     def test_typo_exits_2_naming_the_key(self, tmp_path, capsys, command, cfg, named):
         path = write_config(tmp_path, {**cfg, "output_dir": str(tmp_path / "out")})
         extra = ["--input", str(tmp_path / "record")] if command == "analyze" else []
@@ -317,7 +342,12 @@ class TestNewtonConfig:
                                        "newton": {"step_tolerance": 1e-9},
                                        "output_dir": str(tmp_path / "out")})
         assert main(["estimate", "--config", path]) == 2
-        assert "bad newton option" in capsys.readouterr().err
+        assert "unknown config key 'newton.step_tolerance'" in capsys.readouterr().err
+
+    def test_integral_float_max_iterations_runs(self, tmp_path):
+        path = write_config(tmp_path, {"scenario": {"steps": 5}, "newton": {"max_iterations": 3.0},
+                                       "output_dir": str(tmp_path / "out")})
+        assert main(["estimate", "--config", path]) == 0
 
 
 class TestNonFiniteModel:

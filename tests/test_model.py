@@ -52,10 +52,6 @@ class TestLinearMap:
         x1, x2 = rng.normal(size=4), rng.normal(size=4)
         npt.assert_array_equal(m.jacobian(x1), m.jacobian(x2))
 
-    def test_hessian_present_and_zero(self):
-        m = linear_map([[1.0, 2.0], [0.0, 1.0]])
-        npt.assert_array_equal(m.hessian(np.zeros(2)), np.zeros((2, 2, 2)))
-
     def test_empty_matrix_rejected(self):
         with pytest.raises(ConfigurationError):
             linear_map(np.zeros((0, 2)))
@@ -74,8 +70,6 @@ class TestRangeSensorMap:
         npt.assert_array_equal(m.evaluate(x), [0.0])  # the range itself is defined
         with pytest.raises(SingularGradientError):
             m.jacobian(x)
-        with pytest.raises(SingularGradientError):
-            m.hessian(x)
 
     def test_jacobian_matches_finite_differences_at_100_points(self, rng):
         sensors = [(-10.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
@@ -85,18 +79,6 @@ class TestRangeSensorMap:
             if min(np.hypot(x[0] - sx, x[1] - sy) for sx, sy in sensors) < 1e-3:
                 continue
             npt.assert_allclose(m.jacobian(x), fd_jacobian(m, x), rtol=1e-5, atol=1e-8)
-
-    def test_hessian_matches_finite_differences(self, rng):
-        m = range_sensor_map([(2.0, -1.0), (0.0, 5.0)], (0, 1), state_dim=3)
-        for _ in range(20):
-            x = rng.uniform(-8, 8, size=3)
-            H = m.hessian(x)
-            h = 1e-5
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                dJ = (m.jacobian(x + e) - m.jacobian(x - e)) / (2 * h)
-                npt.assert_allclose(H[:, :, j], dJ, rtol=1e-4, atol=1e-6)
 
     def test_translation_invariance_and_nonnegativity(self, rng):
         shift = rng.normal(size=2)
@@ -227,7 +209,7 @@ class TestStackContract:
             return linear_map(rng.normal(size=(3, 4)))
         return range_sensor_map([(-10.0, 0.0), (10.0, 0.0), (0.0, 10.0)], (0, 1), state_dim=4)
 
-    @pytest.mark.parametrize("name", ["evaluate", "jacobian", "hessian"])
+    @pytest.mark.parametrize("name", ["evaluate", "jacobian"])
     def test_stack_equals_row_by_row_bit_for_bit(self, mmap, name, rng):
         X = rng.normal(size=(7, 4)) * 5.0
         fn = getattr(mmap, name)
@@ -241,7 +223,6 @@ class TestStackContract:
         m = range_sensor_map([(0.0, 0.0), (3.0, 4.0)], (0, 1), state_dim=2)
         X = np.array([[1.0, 1.0], [3.0, 4.0], [2.0, 2.0]])
         npt.assert_array_equal(m.evaluate(X)[1], [5.0, 0.0])
-        for fn in (m.jacobian, m.hessian):
-            with pytest.raises(SingularGradientError) as info:
-                fn(X)
-            assert info.value.context == {"sensor": 1, "state": [3.0, 4.0]}
+        with pytest.raises(SingularGradientError) as info:
+            m.jacobian(X)
+        assert info.value.context == {"sensor": 1, "state": [3.0, 4.0]}

@@ -293,18 +293,6 @@ class TestEstimateBatchInputs:
             monte_carlo(scn, n_runs=3, seed_base=0)
         assert calls == []
 
-    def test_full_newton_without_hessian_rejected_before_simulating(self, monkeypatch):
-        import ssue.sim as sim_mod
-        scn = tracking_preset(steps=5)
-        no_hessian = dataclasses.replace(scn.model.map, hessian=None)
-        scn = dataclasses.replace(scn, model=dataclasses.replace(scn.model, map=no_hessian))
-        calls, real = [], sim_mod.simulate
-        monkeypatch.setattr(sim_mod, "simulate",
-                            lambda scenario: (calls.append(scenario), real(scenario))[1])
-        with pytest.raises(ContractError, match="full_newton mode needs a measurement map"):
-            monte_carlo(scn, 5, 0, ssue.NewtonOptions(mode="full_newton"))
-        assert calls == []
-
 
 class TestRecordPersistence:
     def test_round_trip(self, tmp_path):
@@ -338,6 +326,20 @@ class TestRecordPersistence:
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigurationError, match=r"truth\.csv: line 3"):
+            ssue.load_record(out)
+
+    @pytest.mark.parametrize("truth_rows, meas_rows, named", [
+        (0, 0, r"measurements\.csv holds no steps"),
+        (3, 5, r"truth\.csv has 3 steps, measurements\.csv has 5"),
+        (5, 2, r"truth\.csv has 5 steps, measurements\.csv has 2"),
+    ], ids=["headers_only", "short_truth", "short_measurements"])
+    def test_steps_missing_or_unequal_is_configuration_error(self, tmp_path, truth_rows,
+                                                            meas_rows, named):
+        out = ssue.save_record(ssue.simulate(tracking_preset(seed=8, steps=5)), tmp_path / "run")
+        for name, rows in (("truth.csv", truth_rows), ("measurements.csv", meas_rows)):
+            path = out / name
+            path.write_text("\n".join(path.read_text().splitlines()[:1 + rows]) + "\n")
+        with pytest.raises(ConfigurationError, match=named):
             ssue.load_record(out)
 
     def test_missing_directory_is_contract_error(self, tmp_path):
