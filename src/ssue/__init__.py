@@ -31,7 +31,6 @@ from .errors import (
     SingularGradientError,
 )
 from .filters import (
-    NewtonOptions,
     StepResult,
     UpdateReport,
     ekf_step,

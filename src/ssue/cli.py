@@ -27,7 +27,6 @@ import numpy as np
 
 from .analysis import kl_separation, linearized_C, loglik_ratio_trajectory
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import NewtonOptions
 from .observability import DeltaGrid, pairwise_rank_test
 from .sim import (
     MetricsSummary,
@@ -88,11 +87,6 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _newton_from_config(cfg: dict) -> NewtonOptions:
-    newton = _only(_object(cfg, "newton"), ("max_iterations",), "newton.")
-    return NewtonOptions(**{key: _integer(value, f"newton.{key}") for key, value in newton.items()})
-
-
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -104,7 +98,7 @@ def _load_config(path: str) -> dict:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
-    return _only(cfg, ("scenario", "newton", "observability", "analysis", "output_dir"), "")
+    return _only(cfg, ("scenario", "observability", "analysis", "output_dir"), "")
 
 
 def _apply_overrides(cfg: dict, args) -> dict:
@@ -141,7 +135,6 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_estimate(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
-    opts = _newton_from_config(cfg)
     out = _output_dir(cfg)
 
     runs = args.runs
@@ -160,7 +153,7 @@ def cmd_estimate(cfg: dict, args) -> int:
         records = [record]
 
     scenarios = [replace(scenario, seed=scenario.seed + i) for i in range(runs)]
-    outcomes = estimate_batch(scenarios, opts, records)
+    outcomes = estimate_batch(scenarios, records)
     if runs == 1 and not isinstance(outcomes[0], RunRecord):
         raise outcomes[0]
     summary = MetricsSummary.from_outcomes(scenarios, outcomes)

@@ -3,7 +3,8 @@
 One filter step runs, per candidate location: a prediction of the joint
 [delta; x] belief through the perturbed dynamics, an innovation likelihood,
 and an iterative MAP measurement update (Gauss-Newton on the negative log
-posterior, i.e. the iterated EKF).  Location probabilities are then
+posterior, i.e. the iterated EKF, stopped by the module constants
+``DECREMENT_TOL`` and ``MAX_ITERATIONS``).  Location probabilities are then
 reweighted by the likelihoods and the bank is collapsed to a fused estimate.
 
 One stacked kernel, ``_step_rows``, does all of this for B = runs x M rows at
@@ -25,28 +26,10 @@ from .model import LocationMatrix, MeasurementMap, SystemModel
 LINE_SEARCH_CONTRACTION = 0.5
 LINE_SEARCH_MAX_HALVINGS = 20
 DECREMENT_TOL = 1e-12  # Newton decrement |g^T d| at which a MAP update stops, in cost (chi^2) units
+MAX_ITERATIONS = 10  # Gauss-Newton steps after which a MAP update stops unconverged
 NORMAL_EQUATION_JITTER = 1e-12
 Q_JITTER = 1e-9  # added to a singular process covariance, so every prediction is SPD
 WEIGHT_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class NewtonOptions:
-    """Knobs of the Gauss-Newton MAP update.
-
-    Every step is backtracked, halving it until the cost stops increasing; a
-    row stops after the step whose Newton decrement |g^T d| is below
-    ``DECREMENT_TOL``, or after ``max_iterations`` steps.
-    """
-
-    max_iterations: int = 10
-
-    def __post_init__(self):
-        k = self.max_iterations
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ContractError(f"max_iterations must be an integer, got {k!r}")
-        if k < 1:
-            raise ContractError("max_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -55,8 +38,8 @@ class UpdateReport:
 
     ``converged`` means the update took a step whose Newton decrement |g^T d|,
     its predicted cost decrease, was below ``DECREMENT_TOL``; hitting the
-    iteration cap, or the backtracking search finding no non-increasing step,
-    leaves it False.
+    iteration cap ``MAX_ITERATIONS``, or the backtracking search finding no
+    non-increasing step, leaves it False.
     """
 
     iterations_used: int
@@ -204,7 +187,7 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
                               bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
 
 
-def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
+def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, h, C):
     """:func:`newton_update` of B rows from their factors and h and C at the predicted
     means; a row that converges or stalls leaves the active set and does no further work."""
     (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
@@ -218,14 +201,14 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
     xi = xi_pred.copy()
     r = residual(xi, y, LP_inv, xi_pred, h)
     cost = _dot(r, r)
-    costs = np.vstack([cost, np.full((opts.max_iterations, B), np.nan)])
+    costs = np.vstack([cost, np.full((MAX_ITERATIONS, B), np.nan)])
     iterations, converged = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
     C = np.array(C)
     # Stacked Jacobian of the residual: [0, -LR^{-1} C] over the constant LP^{-1}.
     J = np.zeros((B, p + n1, n1))
     J[:, p:] = LP_inv
     act = np.arange(B)
-    for t in range(opts.max_iterations):
+    for t in range(MAX_ITERATIONS):
         if t:  # every active row moved in the last round
             C[act] = _map_call(measurement_map.jacobian, xi[act, 1:], (p, n), "jacobian")
         Ja = J[act]
@@ -269,7 +252,7 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, opts, h, C):
     return xi, symmetrize(S_post @ np.swapaxes(S_post, -1, -2)), iterations, costs, converged
 
 
-def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions):
+def _step_rows(xi, P, mu, y, model: SystemModel):
     """The stacked kernel: one filter step of R runs of one model, from means
     (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
     (R, p), to posterior rows, weights, log likelihoods, fused means,
@@ -283,7 +266,7 @@ def _step_rows(xi, P, mu, y, model: SystemModel, opts: NewtonOptions):
         xi_pred, S_pred = _predict_rows(xi.reshape(-1, n1), S,
                                         np.concatenate([locations] * R_runs), model.A, LQ)
         ll, h, C = _innovation_rows(xi_pred, S_pred, Y, model.map, LR)
-        upd = _update_rows(xi_pred, S_pred, Y, model.map, LR_inv, opts, h, C)
+        upd = _update_rows(xi_pred, S_pred, Y, model.map, LR_inv, h, C)
     except NumericalFailureError as exc:
         if "hypothesis" in exc.context:  # the failing row's position in the stack
             exc.context["hypothesis"] %= M
@@ -315,7 +298,7 @@ def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarr
 
 
 def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,
-                  R: np.ndarray, opts: NewtonOptions = NewtonOptions()) -> tuple[JointBelief, UpdateReport]:
+                  R: np.ndarray) -> tuple[JointBelief, UpdateReport]:
     """Iterative MAP measurement update of the predicted joint belief.
 
     Minimizes the stacked least-squares cost
@@ -325,9 +308,12 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     starting from the prediction, where the matrix square roots are the
     factors of R and P (the iterate only depends on them through R^{-1} and
     P^{-1}, so the factor choice is immaterial); Gauss-Newton on it is the
-    iterated EKF update (Bell & Cathey 1993).  The posterior covariance is
-    the inverse Fisher information [H + P_pred^{-1}]^{-1} with
-    H = blkdiag(0, C^T R^{-1} C) evaluated at the last iterate.
+    iterated EKF update (Bell & Cathey 1993).  Every step is backtracked,
+    halving it until the cost stops increasing; the update stops after the
+    step whose Newton decrement |g^T d| is below ``DECREMENT_TOL``, or after
+    ``MAX_ITERATIONS`` steps.  The posterior covariance is the inverse Fisher
+    information [H + P_pred^{-1}]^{-1} with H = blkdiag(0, C^T R^{-1} C)
+    evaluated at the last iterate.
     """
     p, x = measurement_map.output_dim, pred.x_mean[None]
     y = _measurement_vector(y, p)[None]
@@ -335,7 +321,7 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
     _, LR_inv = _r_factors(R)
     S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
-    xi, P, *rows = _update_rows(pred.xi_mean[None], S_pred, y, measurement_map, LR_inv, opts, h, C)
+    xi, P, *rows = _update_rows(pred.xi_mean[None], S_pred, y, measurement_map, LR_inv, h, C)
     return JointBelief(xi[0], P[0]), _reports(*rows)[0]
 
 
@@ -375,13 +361,14 @@ def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
     return mu_new / mu_new.sum(axis=-1, keepdims=True)
 
 
-def ssue_step(bank: HypothesisBank, y, model: SystemModel,
-              opts: NewtonOptions = NewtonOptions(), step: int | None = None) -> StepResult:
+def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
+              step: int | None = None) -> StepResult:
     """One full filter cycle: per-hypothesis predict / likelihood / MAP update,
     then weight update, location identification and fusion.
 
     The likelihood is evaluated on the predicted belief, so it is independent
-    of the MAP update outcome.  One run (B = M rows) of the stacked kernel.
+    of the MAP update outcome, which is :func:`newton_update`'s.  One run
+    (B = M rows) of the stacked kernel; a failure carries ``step`` in its context.
     """
     try:
         if bank.M != model.M:
@@ -390,7 +377,7 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel,
             raise ContractError(f"bank beliefs differ from the model's state dimension {model.n}")
         y = _measurement_vector(y, model.map.output_dim)
         xi, P, mu, ll, _, identified, upd = _step_rows(
-            bank.xi_means[None], bank.xi_covs[None], bank.weights[None], y[None], model, opts)
+            bank.xi_means[None], bank.xi_covs[None], bank.weights[None], y[None], model)
     except (ContractError, NumericalFailureError) as exc:
         if step is not None:
             exc.context.setdefault("step", step)

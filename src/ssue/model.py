@@ -306,7 +306,7 @@ def model_to_json(model: SystemModel) -> str:
 
 
 def model_from_json(text: str) -> SystemModel:
-    """Inverse of :func:`model_to_json`."""
+    """Inverse of :func:`model_to_json`; a missing or malformed field is a ConfigurationError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -325,5 +325,8 @@ def model_from_json(text: str) -> SystemModel:
             P0=_as_matrix(doc["P0"], "P0"), map=mmap,
             measurement_spec=doc["measurement"],
         )
-    except KeyError as exc:
-        raise ConfigurationError(f"model JSON is missing field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"model JSON field missing or malformed: "
+                                 f"{type(exc).__name__}: {exc}") from exc

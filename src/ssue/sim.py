@@ -19,7 +19,7 @@ import numpy as np
 
 from .belief import psd_factor
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import NewtonOptions, _model_constants, _step_rows, ekf_step, initial_bank
+from .filters import _model_constants, _step_rows, ekf_step, initial_bank
 from .model import (
     LocationMatrix,
     LocationSet,
@@ -202,26 +202,26 @@ def simulate(scenario: Scenario) -> RunRecord:
     return RunRecord(scenario=scenario, truth=truth, measurements=meas, meta=meta)
 
 
-def run_estimation(scenario: Scenario, opts: NewtonOptions = NewtonOptions(),
-                   record: RunRecord | None = None) -> RunRecord:
+def run_estimation(scenario: Scenario, record: RunRecord | None = None) -> RunRecord:
     """Simulate (unless a record is supplied) and run the filter plus the EKF baseline.
 
     The EKF consumes the exact same measurement sequence, initialized at the
     same state mean and covariance as the filter bank (:func:`estimate_batch`).
     """
-    (outcome,) = estimate_batch([scenario], opts, [record])
+    (outcome,) = estimate_batch([scenario], [record])
     if isinstance(outcome, NumericalFailureError):
         raise outcome
     return outcome
 
 
-def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=None) -> list:
+def estimate_batch(scenarios, records=None) -> list:
     """Run the filter and the EKF over scenarios of one model as one batch, one
     stacked filter step over all B = runs x M rows per time step.  Returns per
     scenario its completed :class:`RunRecord` (``records[i]`` when given, else
     a fresh simulation) or the :class:`NumericalFailureError` that ended it.
     A failing step is redone run by run, so a failure ends only its own run,
-    and each run's numbers are bit-identical to filtering it alone."""
+    and each run's numbers are bit-identical to filtering it alone.  The filter
+    takes no options; every run uses the constants of :mod:`ssue.filters`."""
     records = [None] * len(scenarios) if records is None else records
     if not scenarios or len(records) != len(scenarios):
         raise ContractError("a batch needs one or more scenarios and one record (or None) "
@@ -254,7 +254,7 @@ def estimate_batch(scenarios, opts: NewtonOptions = NewtonOptions(), records=Non
     def advance(live, k):
         try:
             xi, P, mu, ll, fused, identified, _ = _step_rows(
-                *(a[live] for a in state[:3]), Y[live, k], model, opts)
+                *(a[live] for a in state[:3]), Y[live, k], model)
             ekf = ekf_step(state[3][live], state[4][live], Y[live, k], model)
         except NumericalFailureError as exc:
             if live.size > 1:
@@ -375,8 +375,7 @@ def run_metrics(record: RunRecord) -> RunMetrics:
     )
 
 
-def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int,
-                opts: NewtonOptions = NewtonOptions()) -> MetricsSummary:
+def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int) -> MetricsSummary:
     """Repeat the experiment with seeds seed_base, seed_base+1, ... and aggregate.
 
     The runs are filtered as one batch (:func:`estimate_batch`).  Runs that die
@@ -385,7 +384,7 @@ def monte_carlo(scenario_template: Scenario, n_runs: int, seed_base: int,
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
     scenarios = [replace(scenario_template, seed=seed_base + i) for i in range(n_runs)]
-    return MetricsSummary.from_outcomes(scenarios, estimate_batch(scenarios, opts))
+    return MetricsSummary.from_outcomes(scenarios, estimate_batch(scenarios))
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +404,15 @@ def _rows_by_step(*arrays):
     return ([k] + sum(row, []) for k, row in enumerate(zip(*(a.tolist() for a in arrays))))
 
 
+def _weights_header(M: int) -> list[str]:
+    return ["step"] + [f"mu_{i}" for i in range(M)] + [f"log_lambda_{i}" for i in range(M)]
+
+
+def _estimates_header(n: int) -> list[str]:
+    return (["step", "delta_hat"] + [f"xhat_{j}" for j in range(n)]
+            + [f"ekf_{j}" for j in range(n)] + ["identified"])
+
+
 def save_record(record: RunRecord, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -417,18 +425,10 @@ def save_record(record: RunRecord, directory) -> Path:
                _rows_by_step(record.measurements))
 
     if record.mu is not None:
-        M = record.mu.shape[1]
-        _write_csv(
-            directory / "weights.csv",
-            ["step"] + [f"mu_{i}" for i in range(M)] + [f"log_lambda_{i}" for i in range(M)],
-            _rows_by_step(record.mu, record.log_lambdas),
-        )
-        _write_csv(
-            directory / "estimates.csv",
-            ["step", "delta_hat"] + [f"xhat_{j}" for j in range(n)]
-            + [f"ekf_{j}" for j in range(n)] + ["identified"],
-            _rows_by_step(record.fused_means, record.ekf_means, record.identified[:, None]),
-        )
+        _write_csv(directory / "weights.csv", _weights_header(record.mu.shape[1]),
+                   _rows_by_step(record.mu, record.log_lambdas))
+        _write_csv(directory / "estimates.csv", _estimates_header(n),
+                   _rows_by_step(record.fused_means, record.ekf_means, record.identified[:, None]))
 
     meta = dict(record.meta)
     meta.setdefault("created_unix", time.time())
@@ -440,19 +440,32 @@ def save_record(record: RunRecord, directory) -> Path:
 
 
 def load_record(directory) -> RunRecord:
+    """Inverse of :func:`save_record`; a malformed ``meta.json``, cell, step count or
+    ``weights.csv``/``estimates.csv`` header is a ConfigurationError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
         raise ContractError(f"no meta.json in {directory}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise TypeError(f"a JSON {type(meta).__name__}, not an object")
+        scenario = Scenario.from_dict(meta["scenario"]) if "scenario" in meta else None
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ssue's errors included
+        raise ConfigurationError(
+            f"malformed {meta_path}: {type(exc).__name__}: {exc}") from exc
 
-    def read_csv(name):
+    def read_csv(name, header_for=None):
+        """Columns after ``step`` of ``name``, or None; ``header_for(width)`` is its header."""
         path = directory / name
         if not path.exists():
             return None
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
+            if header_for is not None and header != header_for(len(header)):
+                raise ConfigurationError(f"{path} has header {header}, "
+                                         f"not {header_for(len(header))}")
             rows = []
             for row in reader:
                 if not row:
@@ -473,20 +486,21 @@ def load_record(directory) -> RunRecord:
         raise ContractError(f"{directory} is missing truth.csv or measurements.csv")
     if not len(meas):
         raise ConfigurationError(f"{directory / 'measurements.csv'} holds no steps")
-    if len(truth) != len(meas):
-        raise ConfigurationError(f"{directory / 'truth.csv'} has {len(truth)} steps, "
-                                 f"measurements.csv has {len(meas)}")
+    n = truth.shape[1]
+    weights = read_csv("weights.csv", lambda width: _weights_header((width - 1) // 2))
+    estimates = read_csv("estimates.csv", lambda width: _estimates_header(n))
+    for name, data in (("truth.csv", truth), ("weights.csv", weights),
+                       ("estimates.csv", estimates)):
+        if data is not None and len(data) != len(meas):
+            raise ConfigurationError(f"{directory / name} has {len(data)} steps, "
+                                     f"measurements.csv has {len(meas)}")
 
-    scenario = Scenario.from_dict(meta["scenario"]) if "scenario" in meta else None
     record = RunRecord(scenario=scenario, truth=truth, measurements=meas, meta=meta)
-    weights = read_csv("weights.csv")
     if weights is not None:
         M = weights.shape[1] // 2
         record.mu = weights[:, :M]
         record.log_lambdas = weights[:, M:]
-    estimates = read_csv("estimates.csv")
     if estimates is not None:
-        n = truth.shape[1]
         record.fused_means = estimates[:, :n + 1]
         record.ekf_means = estimates[:, n + 1:2 * n + 1]
         record.identified = estimates[:, -1].astype(int)

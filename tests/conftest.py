@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -31,3 +32,38 @@ def tracking_batch():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+def _break_record(record, fault: str) -> str:
+    """Give the record directory ``record`` of an estimation run one fault that
+    ``save_record`` never writes; returns the name of the file it broke."""
+    name = fault.split("_")[0] + (".json" if fault.startswith("meta") else ".csv")
+    path = record / name
+    text = path.read_text()
+    lines = text.splitlines()
+    doc = json.loads(text) if fault.startswith("meta") else None
+    if fault == "meta_not_json":
+        text = "{not json"
+    elif fault == "meta_string":
+        text = json.dumps("record")
+    elif fault == "meta_no_true_delta":
+        del doc["scenario"]["true_delta"]
+        text = json.dumps(doc)
+    elif fault == "meta_bad_matrix":
+        doc["scenario"]["model"]["A"] = "x"
+        text = json.dumps(doc)
+    elif fault.endswith("_short"):  # half of the steps
+        text = "\n".join(lines[:1 + (len(lines) - 1) // 2]) + "\n"
+    elif fault.endswith("_column_dropped"):
+        text = "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n"
+    path.write_text(text)
+    return name
+
+
+@pytest.fixture(params=["meta_not_json", "meta_string", "meta_no_true_delta", "meta_bad_matrix",
+                        "weights_short", "weights_column_dropped", "estimates_short",
+                        "estimates_column_dropped"])
+def break_record(request):
+    """Breaks an estimation record directory with this fixture's fault and returns
+    the name of the file it broke."""
+    return lambda record: _break_record(record, request.param)

@@ -17,7 +17,6 @@ from ssue import (
     HypothesisBank,
     JointBelief,
     LocationMatrix,
-    NewtonOptions,
     fuse,
     initial_bank,
     kl_separation,
@@ -100,7 +99,6 @@ def test_criterion_2_map_cost_oracle():
         return float(nu @ np.linalg.solve(model.R, nu)
                      + dxi @ np.linalg.solve(P_pred, dxi))
 
-    opts = NewtonOptions(max_iterations=60)
     worst = 0.0
     for _ in range(20):
         W = rng.normal(size=(5, 5))
@@ -108,7 +106,7 @@ def test_criterion_2_map_cost_oracle():
         xi_pred = np.concatenate([[rng.uniform(-0.15, -0.05)], rng.normal(size=4) * 3])
         pred = JointBelief(xi_pred, P_pred)
         y = model.map.evaluate(pred.x_mean + rng.normal(size=4)) + 0.5 * rng.normal(size=3)
-        post, _ = newton_update(pred, y, model.map, model.R, opts)
+        post, _ = newton_update(pred, y, model.map, model.R)
         res = minimize(cost, xi_pred, args=(xi_pred, P_pred, y), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 20000, "maxfev": 20000})

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import minimize
 
+from ssue import filters
 from ssue import (
     ContractError,
     DegenerateEvidenceError,
@@ -13,7 +14,6 @@ from ssue import (
     LocationMatrix,
     LocationSet,
     MeasurementMap,
-    NewtonOptions,
     SystemModel,
     UncertaintyDomain,
     ekf_step,
@@ -120,17 +120,17 @@ class TestNewtonUpdate:
         assert report.converged
 
     @pytest.mark.parametrize("max_iterations", [1, 3, 10])
-    def test_linear_map_equals_kalman_update(self, rng, max_iterations):
+    def test_linear_map_equals_kalman_update(self, rng, monkeypatch, max_iterations):
+        monkeypatch.setattr(filters, "MAX_ITERATIONS", max_iterations)
         n, p = 4, 2
         C = rng.normal(size=(p, n))
         mmap = linear_map(C)
         R = np.diag(rng.uniform(0.5, 2.0, p))
         C_aug = np.hstack([np.zeros((p, 1)), C])
-        opts = NewtonOptions(max_iterations=max_iterations)
         for _ in range(10):
             pred = random_belief(rng, n)
             y = mmap.evaluate(pred.x_mean) + rng.normal(size=p)
-            post, _ = newton_update(pred, y, mmap, R, opts)
+            post, _ = newton_update(pred, y, mmap, R)
             xi_ref, P_ref = kalman_update_oracle(
                 pred.xi_mean, pred.xi_cov, y, C_aug, R)
             assert rel_err(post.xi_mean, xi_ref) <= 1e-8
@@ -138,12 +138,11 @@ class TestNewtonUpdate:
 
     def test_range_map_matches_derivative_free_minimizer(self, rng, tracking_scenario):
         model = tracking_scenario.model
-        opts = NewtonOptions(max_iterations=50)
         for _ in range(5):
             pred = random_belief(rng, model.n, x_scale=3.0)
             x_true = pred.x_mean + rng.normal(size=model.n)
             y = model.map.evaluate(x_true) + rng.normal(size=model.p) * 0.5
-            post, _ = newton_update(pred, y, model.map, model.R, opts)
+            post, _ = newton_update(pred, y, model.map, model.R)
             P_pred = pred.xi_cov
             res = minimize(
                 map_cost, pred.xi_mean,
@@ -181,26 +180,15 @@ class TestNewtonUpdate:
             newton_update(pred, np.ones(model.p), model.map, model.R)
         assert info.value.context["hypothesis"] == 0
 
-    def test_options_validation(self):
-        with pytest.raises(ContractError):
-            NewtonOptions(max_iterations=0)
-
-    @pytest.mark.parametrize("max_iterations", [2.5, 3.0, True, "3"])
-    def test_non_integer_max_iterations_is_contract_error(self, max_iterations):
-        # refused at construction, not by a TypeError inside the first update
-        with pytest.raises(ContractError, match="max_iterations must be an integer"):
-            NewtonOptions(max_iterations=max_iterations)
-
-    def test_numpy_integer_max_iterations_accepted(self):
-        assert NewtonOptions(max_iterations=np.int64(3)).max_iterations == 3
-
     @pytest.mark.parametrize("removed", [{"step_tolerance": 1e-9}, {"line_search": "none"},
-                                         {"mode": "full_newton"}],
-                             ids=["step_tolerance", "line_search", "mode"])
-    def test_removed_options_are_type_errors(self, removed):
-        # the update is Gauss-Newton only, stops on the Newton decrement and always backtracks
+                                         {"mode": "full_newton"}, {"opts": None}],
+                             ids=["step_tolerance", "line_search", "mode", "opts"])
+    def test_removed_options_are_type_errors(self, rng, removed):
+        # the update has no options: Gauss-Newton only, stopping on the Newton
+        # decrement or at MAX_ITERATIONS, always backtracking
+        pred = random_belief(rng, 2)
         with pytest.raises(TypeError):
-            NewtonOptions(**removed)
+            newton_update(pred, np.zeros(2), linear_map(np.eye(2)), np.eye(2), **removed)
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +352,14 @@ class TestMapCalls:
     # likelihood: 1 + 1; each Gauss-Newton round: one residual, and a Jacobian
     # from the second round on; the posterior: one Jacobian at the last iterate
     @pytest.mark.parametrize("max_iterations, expected", [(1, 2), (2, 3), (4, 5)])
-    def test_calls_per_step_do_not_grow_with_hypotheses(self, rng, tracking_scenario,
-                                                         max_iterations, expected):
+    def test_calls_per_step_do_not_grow_with_hypotheses(self, rng, monkeypatch,
+                                                         tracking_scenario, max_iterations,
+                                                         expected):
+        monkeypatch.setattr(filters, "MAX_ITERATIONS", max_iterations)
         y = tracking_scenario.model.map.evaluate(rng.normal(size=4) * 3)
         model, calls = self.counting(tracking_scenario.model)
         assert model.M == 3
-        opts = NewtonOptions(max_iterations=max_iterations)
-        result = ssue_step(initial_bank(model), y, model, opts)
+        result = ssue_step(initial_bank(model), y, model)
         assert all(r.iterations_used == max_iterations for r in result.reports)
         assert calls == {"evaluate": expected, "jacobian": expected}
 
@@ -390,7 +379,7 @@ class TestMapCalls:
         # a backtracking search that finds no step at the minimum
         reports, _ = preset_run
         assert len(reports) == 900
-        cap = NewtonOptions().max_iterations
+        cap = filters.MAX_ITERATIONS
         assert all(r.iterations_used == cap for r in reports if not r.converged)
 
     def test_preset_run_evaluation_budget(self, preset_run):

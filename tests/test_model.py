@@ -185,6 +185,14 @@ class TestModelJson:
         with pytest.raises(ConfigurationError):
             model_from_json(json.dumps({"A": [[1.0]]}))
 
+    @pytest.mark.parametrize("field, value", [("A", "x"), ("delta_domain", [5])],
+                             ids=["A_not_numeric", "interval_not_a_pair"])
+    def test_malformed_field_is_config_error(self, tracking_scenario, field, value):
+        doc = json.loads(model_to_json(tracking_scenario.model))
+        doc[field] = value
+        with pytest.raises(ConfigurationError, match="model JSON field missing or malformed"):
+            model_from_json(json.dumps(doc))
+
     def test_dimension_mismatch_is_config_error(self):
         doc = {
             "A": [[1.0, 0.0], [0.0, 1.0]],

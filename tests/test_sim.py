@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -340,6 +341,14 @@ class TestRecordPersistence:
             path = out / name
             path.write_text("\n".join(path.read_text().splitlines()[:1 + rows]) + "\n")
         with pytest.raises(ConfigurationError, match=named):
+            ssue.load_record(out)
+
+    def test_record_unlike_save_record_is_configuration_error(self, tmp_path, break_record):
+        # a malformed meta.json, a step count off measurements.csv's, or a
+        # weights/estimates header other than save_record's is named, never read
+        out = ssue.save_record(run_estimation(tracking_preset(seed=8, steps=6)), tmp_path / "run")
+        name = break_record(out)
+        with pytest.raises(ConfigurationError, match=re.escape(str(out / name))):
             ssue.load_record(out)
 
     def test_missing_directory_is_contract_error(self, tmp_path):
