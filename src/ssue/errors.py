@@ -24,7 +24,7 @@ class ContractError(_WithContext, ValueError):
 
 
 class NumericalFailureError(_WithContext, RuntimeError):
-    """A linear-algebra step failed even after the documented jitter policy."""
+    """A linear-algebra step failed, e.g. on an indefinite covariance or a non-finite value."""
 
 
 class SingularGradientError(NumericalFailureError):

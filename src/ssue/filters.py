@@ -27,8 +27,6 @@ LINE_SEARCH_CONTRACTION = 0.5
 LINE_SEARCH_MAX_HALVINGS = 20
 DECREMENT_TOL = 1e-12  # Newton decrement |g^T d| at which a MAP update stops, in cost (chi^2) units
 MAX_ITERATIONS = 10  # Gauss-Newton steps after which a MAP update stops unconverged
-NORMAL_EQUATION_JITTER = 1e-12
-Q_JITTER = 1e-9  # added to a singular process covariance, so every prediction is SPD
 WEIGHT_FLOOR = 1e-12
 
 
@@ -72,14 +70,6 @@ def initial_bank(model: SystemModel) -> HypothesisBank:
                           np.full(model.M, 1.0 / model.M))
 
 
-def _q_factor(Q: np.ndarray) -> np.ndarray:
-    """Q^{1/2}, of Q + Q_JITTER I when Q itself is singular."""
-    try:
-        return np.linalg.cholesky(symmetrize(Q))
-    except np.linalg.LinAlgError:
-        return psd_factor(Q + Q_JITTER * np.eye(Q.shape[0]), "process noise covariance Q")
-
-
 def _r_factors(R: np.ndarray):
     """R^{1/2} and R^{-1/2} (lower Cholesky) of a positive definite R."""
     try:
@@ -89,13 +79,11 @@ def _r_factors(R: np.ndarray):
     return LR, np.linalg.inv(LR)
 
 
-def _model_constants(model: SystemModel):
-    """Q^{1/2}, R^{1/2}, R^{-1/2} and the stacked locations, kept on the (immutable) model."""
-    if "_filter_constants" not in model.__dict__:
-        locations = np.stack([loc.entries for loc in model.locations])
-        object.__setattr__(model, "_filter_constants",
-                           (_q_factor(model.Q), *_r_factors(model.R), locations))
-    return model.__dict__["_filter_constants"]
+def _r_whitener(model: SystemModel) -> np.ndarray:
+    """The model's R^{-1/2}, which only a positive definite R has."""
+    if model.R_whitener is None:
+        raise ContractError("measurement noise covariance R is not positive definite")
+    return model.R_whitener
 
 
 def _measurement_vector(y, p: int) -> np.ndarray:
@@ -125,27 +113,6 @@ def _map_call(fn, X: np.ndarray, tail: tuple, name: str) -> np.ndarray:
         raise ContractError(f"measurement map {name} returned shape {out.shape}, "
                             f"not {X.shape[:-1] + tail}")
     return out
-
-
-def _rowwise(solve, M: np.ndarray, what: str, jitter: float = 0.0) -> np.ndarray:
-    """``solve(M[rows], rows)`` for all rows, else row by row with a ``jitter`` retry."""
-    try:
-        return solve(M, slice(None))
-    except np.linalg.LinAlgError:
-        pass
-    out = []
-    for b in range(M.shape[0]):
-        rows = slice(b, b + 1)
-        for attempt in (M[rows], M[rows] + jitter * np.eye(M.shape[-1]))[:1 + (jitter > 0.0)]:
-            try:
-                out.append(solve(attempt, rows)[0])
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:
-            raise NumericalFailureError(
-                what, context={"hypothesis": b, "condition": float(np.linalg.cond(M[b]))})
-    return np.stack(out)
 
 
 def _qr_root(top, bottom):
@@ -189,45 +156,44 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
 
 def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, h, C):
     """:func:`newton_update` of B rows from their factors and h and C at the predicted
-    means; a row that converges or stalls leaves the active set and does no further work."""
+    means, in whitened coordinates u with xi = xi_pred + S_pred u: there the prior term
+    of the cost is ||u||^2 and the normal matrix is I + G^T G with G = R^{-1/2} C S^x,
+    for the state rows S^x of S_pred, so it is never singular and S_pred is never
+    inverted.  A row that converges or stalls leaves the active set and does no
+    further work."""
     (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
-    LP_inv = _rowwise(lambda A, rows: np.linalg.inv(A), S_pred,
-                      "predicted joint covariance is singular")
+    eye = np.eye(n1)
 
-    def residual(xi, y, LP_inv, xi_pred, hx=None):
-        hx = _map_call(measurement_map.evaluate, xi[:, 1:], (p,), "evaluate") if hx is None else hx
-        return np.concatenate([_mv(LR_inv, y - hx), _mv(LP_inv, xi - xi_pred)], axis=1)
+    def residual(w, y):  # w = [u, xi]; the cost is the squared norm
+        hx = _map_call(measurement_map.evaluate, w[:, n1 + 1:], (p,), "evaluate")
+        return np.concatenate([_mv(LR_inv, y - hx), w[:, :n1]], axis=1)
 
-    xi = xi_pred.copy()
-    r = residual(xi, y, LP_inv, xi_pred, h)
+    w = np.concatenate([np.zeros((B, n1)), xi_pred], axis=1)
+    r = np.concatenate([_mv(LR_inv, y - h), w[:, :n1]], axis=1)
     cost = _dot(r, r)
     costs = np.vstack([cost, np.full((MAX_ITERATIONS, B), np.nan)])
     iterations, converged = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
     C = np.array(C)
-    # Stacked Jacobian of the residual: [0, -LR^{-1} C] over the constant LP^{-1}.
-    J = np.zeros((B, p + n1, n1))
-    J[:, p:] = LP_inv
     act = np.arange(B)
     for t in range(MAX_ITERATIONS):
         if t:  # every active row moved in the last round
-            C[act] = _map_call(measurement_map.jacobian, xi[act, 1:], (p, n), "jacobian")
-        Ja = J[act]
-        Ja[:, :p, 1:] = -(LR_inv @ C[act])
-        Jt = np.swapaxes(Ja, -1, -2)
-        xa, ra, ca, ya, LPa, xpa = xi[act], r[act], cost[act], y[act], LP_inv[act], xi_pred[act]
-        g, N = _mv(Jt, ra), Jt @ Ja
-        d = _rowwise(lambda A, rows: np.linalg.solve(A, -g[rows, :, None])[..., 0], N,
-                     "singular normal-equations matrix in the MAP update even after jitter",
-                     NORMAL_EQUATION_JITTER)
+            C[act] = _map_call(measurement_map.jacobian, w[act, n1 + 1:], (p, n), "jacobian")
+        wa, ra, ca, ya, Sa = w[act], r[act], cost[act], y[act], S_pred[act]
+        # the residual's Jacobian J is [-G; I], so J^T r = u - G^T r_y
+        G = LR_inv @ C[act] @ Sa[:, 1:]
+        Gt = np.swapaxes(G, -1, -2)
+        g = ra[:, p:] - _mv(Gt, ra[:, :p])
+        d = np.linalg.solve(eye + Gt @ G, -g[..., None])[..., 0]
+        step = np.concatenate([d, _mv(Sa, d)], axis=1)  # d moves xi by S_pred d
 
         # the step with a decrement at rounding level is the last; its cost may rise by as much
         small = np.abs(_dot(g, d)) < DECREMENT_TOL
         limit = ca + np.where(small, DECREMENT_TOL, 0.0)
-        new, rn, cn = np.empty_like(xa), np.empty_like(ra), np.empty_like(ca)
+        new, rn, cn = np.empty_like(wa), np.empty_like(ra), np.empty_like(ca)
         ok, s, alpha = np.zeros(act.size, dtype=bool), np.arange(act.size), 1.0
         for _ in range(1 + LINE_SEARCH_MAX_HALVINGS):  # the full step, then backtracking
-            new[s] = xa[s] + alpha * d[s]  # every row s still searching is at this fraction
-            rn[s] = residual(new[s], ya[s], LPa[s], xpa[s])
+            new[s] = wa[s] + alpha * step[s]  # every row s still searching is at this fraction
+            rn[s] = residual(new[s], ya[s])
             cn[s] = _dot(rn[s], rn[s])
             ok[s] = cn[s] <= limit[s]
             s, alpha = s[~ok[s]], alpha * LINE_SEARCH_CONTRACTION
@@ -235,7 +201,7 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, h, C):
                 break
         # rows with no non-increasing step keep their current iterate and stop
         moved = act[ok]
-        xi[moved], r[moved], cost[moved] = new[ok], rn[ok], cn[ok]
+        w[moved], r[moved], cost[moved] = new[ok], rn[ok], cn[ok]
         iterations[moved] += 1
         costs[iterations[moved], moved] = cn[ok]
         converged[moved[small[ok]]] = True
@@ -246,10 +212,11 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, h, C):
     moved_last = converged.copy()  # rows that stalled kept the iterate C was evaluated at
     moved_last[act] = True
     if moved_last.any():
-        C[moved_last] = _map_call(measurement_map.jacobian, xi[moved_last, 1:], (p, n), "jacobian")
-    # U^T U = S_pred^{-T} S_pred^{-1} + blkdiag(0, C^T R^{-1} C) is the posterior information
-    S_post = np.linalg.inv(_qr_root(LP_inv, LR_inv @ C))
-    return xi, symmetrize(S_post @ np.swapaxes(S_post, -1, -2)), iterations, costs, converged
+        C[moved_last] = _map_call(measurement_map.jacobian, w[moved_last, n1 + 1:], (p, n),
+                                  "jacobian")
+    # U^T U = G^T G + I is the posterior information in u, so S_pred U^{-1} is the posterior factor
+    S_post = S_pred @ np.linalg.inv(_qr_root(LR_inv @ C @ S_pred[:, 1:], eye))
+    return w[:, n1:], symmetrize(S_post @ np.swapaxes(S_post, -1, -2)), iterations, costs, converged
 
 
 def _step_rows(xi, P, mu, y, model: SystemModel):
@@ -257,14 +224,14 @@ def _step_rows(xi, P, mu, y, model: SystemModel):
     (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
     (R, p), to posterior rows, weights, log likelihoods, fused means,
     identified indices and the raw :func:`_update_rows` result.  In between, each
-    row's covariance is carried as a factor S (S S^T = P), so it stays SPD by construction."""
+    row's covariance is carried as a factor S (S S^T = P), so it stays PSD by construction."""
     (R_runs, M), n1 = mu.shape, xi.shape[-1]
-    LQ, LR, LR_inv, locations = _model_constants(model)
+    LR, LR_inv = model.R_factor, _r_whitener(model)
+    locations = np.stack([loc.entries for loc in model.locations] * R_runs)
     Y = np.repeat(y, M, axis=0)
     try:
         S = psd_factor(P.reshape(-1, n1, n1), "joint covariance")
-        xi_pred, S_pred = _predict_rows(xi.reshape(-1, n1), S,
-                                        np.concatenate([locations] * R_runs), model.A, LQ)
+        xi_pred, S_pred = _predict_rows(xi.reshape(-1, n1), S, locations, model.A, model.Q_factor)
         ll, h, C = _innovation_rows(xi_pred, S_pred, Y, model.map, LR)
         upd = _update_rows(xi_pred, S_pred, Y, model.map, LR_inv, h, C)
     except NumericalFailureError as exc:
@@ -284,14 +251,15 @@ def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarr
 
     The joint covariance is pushed through the Jacobian F = [[1, 0], [L x, A + delta L]]
     of [delta; x] -> [delta; x+], so the perturbation mean and variance carry over
-    unchanged.  As in the filter, a singular Q gets ``Q_JITTER`` on its diagonal.
+    unchanged.  A singular Q is used exactly, as in the filter: no jitter is added.
     """
     n = belief.n
     A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
     if A.shape != (n, n) or Q.shape != (n, n) or loc.n != n:
         raise ContractError("prediction inputs disagree on the state dimension")
     S = psd_factor(belief.xi_cov[None], "joint covariance")
-    xi, S_pred = _predict_rows(belief.xi_mean[None], S, loc.entries[None], A, _q_factor(Q))
+    xi, S_pred = _predict_rows(belief.xi_mean[None], S, loc.entries[None], A,
+                               psd_factor(Q, "process noise covariance Q"))
     P = symmetrize(S_pred[0] @ S_pred[0].T)
     P[0, 0] = belief.p_delta  # exact: delta has no process noise, and sqrt(p)^2 need not be p
     return JointBelief(xi[0], P)
@@ -303,17 +271,20 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
 
     Minimizes the stacked least-squares cost
 
-        L(xi) = ||R^{-1/2} (y - h(x))||^2 + ||P^{-1/2} (xi - xi_pred)||^2
+        L(u) = ||R^{-1/2} (y - h(x))||^2 + ||u||^2,   xi = xi_pred + S u,
 
-    starting from the prediction, where the matrix square roots are the
-    factors of R and P (the iterate only depends on them through R^{-1} and
-    P^{-1}, so the factor choice is immaterial); Gauss-Newton on it is the
-    iterated EKF update (Bell & Cathey 1993).  Every step is backtracked,
-    halving it until the cost stops increasing; the update stops after the
-    step whose Newton decrement |g^T d| is below ``DECREMENT_TOL``, or after
-    ``MAX_ITERATIONS`` steps.  The posterior covariance is the inverse Fisher
-    information [H + P_pred^{-1}]^{-1} with H = blkdiag(0, C^T R^{-1} C)
-    evaluated at the last iterate.
+    starting from the prediction u = 0, where S S^T = P_pred is the predicted
+    factor; for a nonsingular P_pred the prior term is ||P^{-1/2} (xi - xi_pred)||^2.
+    Gauss-Newton on it is the iterated EKF update (Bell & Cathey 1993), and its
+    iterates do not depend on the choice of S or of coordinates (Bell 1994).
+    A singular predicted covariance is used exactly: the update keeps xi in
+    xi_pred + range(P_pred), and P_pred is neither inverted nor jittered.  Every
+    step is backtracked, halving it until the cost stops increasing; the update
+    stops after the step whose Newton decrement |g^T d| is below ``DECREMENT_TOL``,
+    or after ``MAX_ITERATIONS`` steps.  The posterior covariance is
+    S (I + G^T G)^{-1} S^T with G = R^{-1/2} C S^x, S^x the state rows of S and C
+    evaluated at the last iterate; for a nonsingular P_pred that is the inverse
+    Fisher information [H + P_pred^{-1}]^{-1} with H = blkdiag(0, C^T R^{-1} C).
     """
     p, x = measurement_map.output_dim, pred.x_mean[None]
     y = _measurement_vector(y, p)[None]

@@ -218,7 +218,11 @@ class SystemModel:
     covariance, and ``map`` the measurement function.  Noise covariances are
     time-invariant.  ``Q``, ``R`` and ``P0`` must be symmetric and positive
     semidefinite (:func:`~ssue.belief.psd_factor`); a consumer that needs more
-    checks that itself (the filter needs a positive definite ``R``).
+    checks that itself (the filter needs a positive definite ``R``).  The
+    factors ``Q_factor`` and ``R_factor`` (``F F^T = Q``, ``R``) are the
+    ones :func:`~ssue.belief.psd_factor` returns, computed once here, and
+    ``R_whitener`` is ``R_factor^{-1}`` (R^{-1/2}), or None when ``R`` is
+    not positive definite.
     """
 
     A: np.ndarray
@@ -229,6 +233,9 @@ class SystemModel:
     P0: np.ndarray
     map: MeasurementMap
     measurement_spec: Optional[dict] = field(default=None, compare=False)
+    Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    R_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    R_whitener: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -247,19 +254,28 @@ class SystemModel:
         p = self.map.output_dim
         if R.shape != (p, p):
             raise ConfigurationError(f"R must be {p}x{p} to match the measurement map")
+        factors = {}
         for name, m in (("Q", Q), ("R", R), ("P0", P0)):
             if np.max(np.abs(m - m.T)) > _SYMMETRY_TOL * max(1.0, np.max(np.abs(m))):
                 raise ConfigurationError(f"{name} is not symmetric")
             try:
-                psd_factor(m, name)
+                factors[name] = psd_factor(m, name)
             except NumericalFailureError as exc:
                 raise ConfigurationError(str(exc)) from None
-        for m in (A, Q, R, P0):
+        LR, whitener = factors["R"], None
+        # psd_factor returns R's lower Cholesky factor exactly when R is positive definite
+        if (LR.diagonal() > 0.0).all() and not np.triu(LR, 1).any():
+            whitener = np.linalg.inv(LR)
+            whitener.setflags(write=False)
+        for m in (A, Q, R, P0, factors["Q"], LR):
             m.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "P0", P0)
+        object.__setattr__(self, "Q_factor", factors["Q"])
+        object.__setattr__(self, "R_factor", LR)
+        object.__setattr__(self, "R_whitener", whitener)
 
     @property
     def n(self) -> int:
@@ -275,6 +291,8 @@ class SystemModel:
 
 
 def _measurement_from_spec(spec: dict, n: int) -> MeasurementMap:
+    if not isinstance(spec, dict):
+        raise TypeError(f"measurement must be an object, got {spec!r}")
     kind = spec.get("type")
     if kind == "linear":
         C = _as_matrix(spec["C"], "measurement C")

@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .belief import psd_factor
 from .errors import ConfigurationError, ContractError, NumericalFailureError
-from .filters import _model_constants, _step_rows, ekf_step, initial_bank
+from .filters import _r_whitener, _step_rows, ekf_step, initial_bank
 from .model import (
     LocationMatrix,
     LocationSet,
@@ -177,8 +176,7 @@ def simulate(scenario: Scenario) -> RunRecord:
     n, p = model.n, model.p
     loc = model.locations[scenario.true_loc_index]
     A_true = model.A + scenario.true_delta * loc.entries
-    Fq = psd_factor(model.Q, "Q")
-    Fr = psd_factor(model.R, "R")
+    Fq, Fr = model.Q_factor, model.R_factor
     rng = np.random.default_rng(scenario.seed)
 
     truth = np.empty((scenario.steps, n))
@@ -229,7 +227,7 @@ def estimate_batch(scenarios, records=None) -> list:
     model = scenarios[0].model
     if any(scn.model is not model for scn in scenarios):
         raise ContractError("the scenarios of a batch must share one model")
-    _model_constants(model)  # reject a model the filter cannot run before simulating
+    _r_whitener(model)  # reject a model the filter cannot run before simulating
     outcomes = []
     for scn, rec in zip(scenarios, records):
         try:
@@ -440,8 +438,9 @@ def save_record(record: RunRecord, directory) -> Path:
 
 
 def load_record(directory) -> RunRecord:
-    """Inverse of :func:`save_record`; a malformed ``meta.json``, cell, step count or
-    ``weights.csv``/``estimates.csv`` header is a ConfigurationError naming the file."""
+    """Inverse of :func:`save_record`; a malformed ``meta.json``, cell, step count,
+    ``weights.csv``/``estimates.csv`` header or a ``weights.csv`` hypothesis count other
+    than the scenario's is a ConfigurationError naming the file."""
     directory = Path(directory)
     meta_path = directory / "meta.json"
     if not meta_path.exists():
@@ -495,6 +494,9 @@ def load_record(directory) -> RunRecord:
             raise ConfigurationError(f"{directory / name} has {len(data)} steps, "
                                      f"measurements.csv has {len(meas)}")
 
+    if weights is not None and scenario is not None and weights.shape[1] // 2 != scenario.model.M:
+        raise ConfigurationError(f"{directory / 'weights.csv'} has {weights.shape[1] // 2} "
+                                 f"hypotheses, the scenario has {scenario.model.M} locations")
     record = RunRecord(scenario=scenario, truth=truth, measurements=meas, meta=meta)
     if weights is not None:
         M = weights.shape[1] // 2

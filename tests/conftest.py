@@ -56,13 +56,17 @@ def _break_record(record, fault: str) -> str:
         text = "\n".join(lines[:1 + (len(lines) - 1) // 2]) + "\n"
     elif fault.endswith("_column_dropped"):
         text = "\n".join(line.rsplit(",", 1)[0] for line in lines) + "\n"
+    elif fault == "weights_two_hypotheses":  # a well-formed weights.csv of locations 0 and 1
+        M = (len(lines[0].split(",")) - 1) // 2
+        text = "\n".join(",".join(line.split(",")[i] for i in (0, 1, 2, M + 1, M + 2))
+                         for line in lines) + "\n"
     path.write_text(text)
     return name
 
 
 @pytest.fixture(params=["meta_not_json", "meta_string", "meta_no_true_delta", "meta_bad_matrix",
-                        "weights_short", "weights_column_dropped", "estimates_short",
-                        "estimates_column_dropped"])
+                        "weights_short", "weights_column_dropped", "weights_two_hypotheses",
+                        "estimates_short", "estimates_column_dropped"])
 def break_record(request):
     """Breaks an estimation record directory with this fixture's fault and returns
     the name of the file it broke."""

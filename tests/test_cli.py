@@ -279,15 +279,16 @@ class TestUnknownConfigKeys:
 
 
 class TestFaultyModelAgreement:
-    """The CLI and the API give one verdict on each faulty covariance: SystemModel
-    refuses a Q, R or P0 that is asymmetric or indefinite, and the filter alone
-    refuses a singular R."""
+    """The CLI and the API give one verdict on each faulty model field: SystemModel
+    refuses a Q, R or P0 that is asymmetric or indefinite, model_from_json a
+    measurement that is not an object, and the filter alone refuses a singular R."""
 
     FAULTS = {
         "asymmetric_Q": ("Q", [[0.001, 0.5], [0.0, 0.001]]),
         "singular_R": ("R", [[0.5, 0.0], [0.0, 0.0]]),
         "singular_P0": ("P0", [[1.0, 0.0], [0.0, 0.0]]),
         "indefinite_Q": ("Q", [[0.001, 0.0], [0.0, -0.001]]),
+        "measurement_not_an_object": ("measurement", 5),
     }
 
     # exit codes of simulate, estimate, observability and analyze; the error of
@@ -297,6 +298,7 @@ class TestFaultyModelAgreement:
         ("singular_R", (0, 2, 0, 0), None, ContractError),
         ("singular_P0", (0, 0, 0, 0), None, None),
         ("indefinite_Q", (2, 2, 2, 2), ConfigurationError, None),
+        ("measurement_not_an_object", (2, 2, 2, 2), ConfigurationError, None),
     ], ids=list(FAULTS))
     def test_cli_and_api_agree(self, tmp_path, fault, exits, construct_error, estimate_error):
         name, matrix = self.FAULTS[fault]

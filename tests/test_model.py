@@ -185,8 +185,10 @@ class TestModelJson:
         with pytest.raises(ConfigurationError):
             model_from_json(json.dumps({"A": [[1.0]]}))
 
-    @pytest.mark.parametrize("field, value", [("A", "x"), ("delta_domain", [5])],
-                             ids=["A_not_numeric", "interval_not_a_pair"])
+    @pytest.mark.parametrize("field, value", [("A", "x"), ("delta_domain", [5]),
+                                              ("measurement", 5)],
+                             ids=["A_not_numeric", "interval_not_a_pair",
+                                  "measurement_not_an_object"])
     def test_malformed_field_is_config_error(self, tracking_scenario, field, value):
         doc = json.loads(model_to_json(tracking_scenario.model))
         doc[field] = value
