@@ -1,14 +1,17 @@
 """Multi-hypothesis joint state/perturbation filter and the EKF baseline.
 
 One filter step runs, per candidate location: a prediction of the joint
-[delta; x] belief through the perturbed dynamics, an innovation likelihood,
-and an iterative MAP measurement update (Gauss-Newton on the negative log
-posterior, i.e. the iterated EKF, stopped by the module constants
-``DECREMENT_TOL`` and ``MAX_ITERATIONS``).  Location probabilities are then
-reweighted by the likelihoods and the bank is collapsed to a fused estimate.
+[delta; x] belief through the perturbed dynamics and an iterative MAP
+measurement update (Gauss-Newton on the negative log posterior, i.e. the
+iterated EKF, stopped by the module constants ``DECREMENT_TOL`` and
+``MAX_ITERATIONS``) whose first round, at the predicted mean, also gives the
+innovation likelihood.  Location probabilities are then reweighted by the
+likelihoods and the bank is collapsed to a fused estimate.
 
 One stacked kernel, ``_step_rows``, does all of this for B = runs x M rows at
-once; rows never mix, so a run's numbers are bit-identical alone or in a batch.
+once.  Every update round works on all B rows, and a finished row takes a zero
+step and keeps its iterate; rows never mix, so a run's numbers are
+bit-identical alone or in a batch.
 
 Likelihoods are handled in log domain throughout.
 """
@@ -116,36 +119,25 @@ def _map_call(fn, X: np.ndarray, tail: tuple, name: str) -> np.ndarray:
 
 
 def _qr_root(top, bottom):
-    """Upper triangular U with U^T U = T^T T + [0, D]^T [0, D], T = ``top`` (B, k, c) and
+    """Upper triangular U with U^T U = T^T T + [0, D]^T [0, D], T = ``top`` (..., k, c) and
     D = ``bottom`` (..., m, j) filling the last j columns: one stacked QR of [T; [0, D]]."""
-    B, k, c = top.shape
-    stack = np.zeros((B, k + bottom.shape[-2], c))
-    stack[:, :k] = top
-    stack[:, k:, c - bottom.shape[-1]:] = bottom
+    k, c = top.shape[-2:]
+    stack = np.zeros(top.shape[:-2] + (k + bottom.shape[-2], c))
+    stack[..., :k, :] = top
+    stack[..., k:, c - bottom.shape[-1]:] = bottom
     return np.linalg.qr(stack, mode="r")
 
 
 def _predict_rows(xi, S, L, A, LQ):
-    """:func:`predict` of rows (B, n+1) with covariance factors S (B, n+1, n+1),
-    locations L (B, n, n) and Q^{1/2}, to the predicted means and factors."""
-    delta, x = xi[:, :1], xi[:, 1:]
-    A_pert = A + delta[:, :, None] * L
+    """:func:`predict` of rows (..., n+1) with covariance factors S (..., n+1, n+1),
+    locations L (..., n, n) and Q^{1/2}, to the predicted means and factors."""
+    delta, x = xi[..., :1], xi[..., 1:]
+    A_pert = A + delta[..., None] * L
     # S_pred S_pred^T = (F S)(F S)^T + blkdiag(0, Q) with the Jacobian F = [[1, 0], [L x, A_pert]]
-    FS = np.concatenate([S[:, :1], _mv(L, x)[:, :, None] * S[:, :1] + A_pert @ S[:, 1:]], axis=1)
+    S0 = S[..., :1, :]
+    FS = np.concatenate([S0, _mv(L, x)[..., None] * S0 + A_pert @ S[..., 1:, :]], axis=-2)
     S_pred = np.swapaxes(_qr_root(np.swapaxes(FS, -1, -2), LQ.T), -1, -2)
-    return np.concatenate([delta, _mv(A_pert, x)], axis=1), S_pred
-
-
-def _innovation_rows(xi_pred, S_pred, y, measurement_map, LR):
-    """:func:`log_likelihood` of rows, plus h and C at the predicted means."""
-    x, p = xi_pred[:, 1:], y.shape[-1]
-    C = _map_call(measurement_map.jacobian, x, (p, x.shape[-1]), "jacobian")
-    h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
-    # innovation covariance C P^x C^T + R = U^T U, with P^x = S^x S^x^T for the state rows S^x
-    U = _qr_root(np.swapaxes(C @ S_pred[:, 1:], -1, -2), LR.T)
-    z = np.linalg.solve(np.swapaxes(U, -1, -2), (y - h)[..., None])[..., 0]
-    log_det = 2.0 * np.log(np.abs(np.diagonal(U, axis1=-2, axis2=-1))).sum(axis=-1)
-    return -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(z, z)), h, C
+    return np.concatenate([delta, _mv(A_pert, x)], axis=-1), S_pred
 
 
 def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
@@ -154,94 +146,105 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
                               bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
 
 
-def _update_rows(xi_pred, S_pred, y, measurement_map, LR_inv, h, C):
-    """:func:`newton_update` of B rows from their factors and h and C at the predicted
-    means, in whitened coordinates u with xi = xi_pred + S_pred u: there the prior term
-    of the cost is ||u||^2 and the normal matrix is I + G^T G with G = R^{-1/2} C S^x,
-    for the state rows S^x of S_pred, so it is never singular and S_pred is never
-    inverted.  A row that converges or stalls leaves the active set and does no
-    further work."""
-    (B, n1), (p, n) = xi_pred.shape, C.shape[-2:]
-    eye = np.eye(n1)
+def _gauss_newton(G, u, r, eye):
+    """Gradient g = u - G^T r of the cost ||r||^2 + ||u||^2, normal matrix I + G^T G, step d."""
+    Gt = np.swapaxes(G, -1, -2)
+    g = u - _mv(Gt, r)
+    N = Gt @ G + eye
+    return g, N, np.linalg.solve(N, -g[..., None])[..., 0]
 
-    def residual(w, y):  # w = [u, xi]; the cost is the squared norm
-        hx = _map_call(measurement_map.evaluate, w[:, n1 + 1:], (p,), "evaluate")
-        return np.concatenate([_mv(LR_inv, y - hx), w[:, :n1]], axis=1)
 
-    w = np.concatenate([np.zeros((B, n1)), xi_pred], axis=1)
-    r = np.concatenate([_mv(LR_inv, y - h), w[:, :n1]], axis=1)
-    cost = _dot(r, r)
+def _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
+    """Round 0 of the update, at the predicted means (u = 0): the log innovation density
+    of y, the whitened innovation r = R^{-1/2} (y - h), G = R^{-1/2} C S^x and the step.
+
+    The innovation covariance is Sigma = C P^x C^T + R = R^{1/2} (I + G G^T) R^{T/2}, so
+    by the matrix determinant lemma log det Sigma = log det R + log det(I + G^T G), and by
+    Woodbury's identity nu^T Sigma^{-1} nu = ||r - G d||^2 + ||d||^2 for round 0's step d."""
+    x, p = xi_pred[:, 1:], y.shape[-1]
+    C = _map_call(measurement_map.jacobian, x, (p, x.shape[-1]), "jacobian")
+    r = _mv(LR_inv, y - _map_call(measurement_map.evaluate, x, (p,), "evaluate"))
+    G = LR_inv @ C @ S_pred[:, 1:]
+    g, N, d = _gauss_newton(G, np.zeros_like(xi_pred), r, np.eye(xi_pred.shape[-1]))
+    e = r - _mv(G, d)
+    log_det = 2.0 * np.log(LR.diagonal()).sum() + np.linalg.slogdet(N)[1]
+    return -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(e, e) + _dot(d, d)), r, G, g, d
+
+
+def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
+    """:func:`log_likelihood` and :func:`newton_update` of B rows, in whitened coordinates u
+    with xi = xi_pred + S_pred u: the prior term of the cost is ||u||^2 and the normal matrix
+    I + G^T G, with G = R^{-1/2} C S^x for the state rows S^x of S_pred, is never singular.
+    The likelihood comes from round 0 (:func:`_first_round`).  Every round works on all
+    rows: a row that has converged or stalled takes a zero step and keeps its iterate."""
+    (B, n1), p = xi_pred.shape, y.shape[-1]
+    ll, r, G, g, d = _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv)
+    u, xi, cost, Sx, eye = np.zeros((B, n1)), xi_pred, _dot(r, r), S_pred[:, 1:], np.eye(n1)
     costs = np.vstack([cost, np.full((MAX_ITERATIONS, B), np.nan)])
-    iterations, converged = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
-    C = np.array(C)
-    act = np.arange(B)
+    iterations, converged, done = np.zeros(B, dtype=int), np.zeros(B, bool), np.zeros(B, bool)
     for t in range(MAX_ITERATIONS):
-        if t:  # every active row moved in the last round
-            C[act] = _map_call(measurement_map.jacobian, w[act, n1 + 1:], (p, n), "jacobian")
-        wa, ra, ca, ya, Sa = w[act], r[act], cost[act], y[act], S_pred[act]
-        # the residual's Jacobian J is [-G; I], so J^T r = u - G^T r_y
-        G = LR_inv @ C[act] @ Sa[:, 1:]
-        Gt = np.swapaxes(G, -1, -2)
-        g = ra[:, p:] - _mv(Gt, ra[:, :p])
-        d = np.linalg.solve(eye + Gt @ G, -g[..., None])[..., 0]
-        step = np.concatenate([d, _mv(Sa, d)], axis=1)  # d moves xi by S_pred d
-
+        if t:
+            g, _, d = _gauss_newton(G, u, r, eye)
+        d = np.where(done[:, None], 0.0, d)
+        step = _mv(S_pred, d)  # d moves xi by S_pred d
         # the step with a decrement at rounding level is the last; its cost may rise by as much
         small = np.abs(_dot(g, d)) < DECREMENT_TOL
-        limit = ca + np.where(small, DECREMENT_TOL, 0.0)
-        new, rn, cn = np.empty_like(wa), np.empty_like(ra), np.empty_like(ca)
-        ok, s, alpha = np.zeros(act.size, dtype=bool), np.arange(act.size), 1.0
+        limit = np.where(small, cost + DECREMENT_TOL, cost)
+        u0, xi0, search = u, xi, ~done
         for _ in range(1 + LINE_SEARCH_MAX_HALVINGS):  # the full step, then backtracking
-            new[s] = wa[s] + alpha * step[s]  # every row s still searching is at this fraction
-            rn[s] = residual(new[s], ya[s])
-            cn[s] = _dot(rn[s], rn[s])
-            ok[s] = cn[s] <= limit[s]
-            s, alpha = s[~ok[s]], alpha * LINE_SEARCH_CONTRACTION
-            if not s.size:
+            u_try, xi_try = u0 + d, xi0 + step
+            r_try = _mv(LR_inv, y - _map_call(measurement_map.evaluate, xi_try[:, 1:], (p,),
+                                              "evaluate"))
+            c_try = _dot(r_try, r_try) + _dot(u_try, u_try)
+            ok = search & (c_try <= limit)
+            keep = ok[:, None]
+            u, xi, r = np.where(keep, u_try, u), np.where(keep, xi_try, xi), np.where(keep, r_try, r)
+            cost = np.where(ok, c_try, cost)
+            search &= ~ok
+            if not search.any():
                 break
+            d, step = LINE_SEARCH_CONTRACTION * d, LINE_SEARCH_CONTRACTION * step
         # rows with no non-increasing step keep their current iterate and stop
-        moved = act[ok]
-        w[moved], r[moved], cost[moved] = new[ok], rn[ok], cn[ok]
-        iterations[moved] += 1
-        costs[iterations[moved], moved] = cn[ok]
-        converged[moved[small[ok]]] = True
-        act = moved[~small[ok]]
-        if not act.size:
+        moved = ~(done | search)
+        iterations += moved
+        costs[t + 1] = np.where(moved, cost, np.nan)
+        converged |= moved & small
+        done |= search | small
+        if not moved.any():
             break
-
-    moved_last = converged.copy()  # rows that stalled kept the iterate C was evaluated at
-    moved_last[act] = True
-    if moved_last.any():
-        C[moved_last] = _map_call(measurement_map.jacobian, w[moved_last, n1 + 1:], (p, n),
-                                  "jacobian")
+        C = _map_call(measurement_map.jacobian, xi[:, 1:], (p, n1 - 1), "jacobian")
+        G = LR_inv @ C @ Sx  # at every row's iterate, for the next round or the posterior
+        if done.all():
+            break
     # U^T U = G^T G + I is the posterior information in u, so S_pred U^{-1} is the posterior factor
-    S_post = S_pred @ np.linalg.inv(_qr_root(LR_inv @ C @ S_pred[:, 1:], eye))
-    return w[:, n1:], symmetrize(S_post @ np.swapaxes(S_post, -1, -2)), iterations, costs, converged
+    S_post = S_pred @ np.linalg.inv(_qr_root(G, eye))
+    P_post = symmetrize(S_post @ np.swapaxes(S_post, -1, -2))
+    return ll, xi, P_post, (iterations, costs, converged)
 
 
 def _step_rows(xi, P, mu, y, model: SystemModel):
     """The stacked kernel: one filter step of R runs of one model, from means
     (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
     (R, p), to posterior rows, weights, log likelihoods, fused means,
-    identified indices and the raw :func:`_update_rows` result.  In between, each
+    identified indices and the :func:`_update_rows` report rows.  In between, each
     row's covariance is carried as a factor S (S S^T = P), so it stays PSD by construction."""
     (R_runs, M), n1 = mu.shape, xi.shape[-1]
-    LR, LR_inv = model.R_factor, _r_whitener(model)
-    locations = np.stack([loc.entries for loc in model.locations] * R_runs)
+    LR_inv = _r_whitener(model)
     Y = np.repeat(y, M, axis=0)
     try:
-        S = psd_factor(P.reshape(-1, n1, n1), "joint covariance")
-        xi_pred, S_pred = _predict_rows(xi.reshape(-1, n1), S, locations, model.A, model.Q_factor)
-        ll, h, C = _innovation_rows(xi_pred, S_pred, Y, model.map, LR)
-        upd = _update_rows(xi_pred, S_pred, Y, model.map, LR_inv, h, C)
+        S = psd_factor(P.reshape(-1, n1, n1), "joint covariance").reshape(P.shape)
+        xi_pred, S_pred = _predict_rows(xi, S, model.locations.entries, model.A, model.Q_factor)
+        ll, xi_post, P_post, rows = _update_rows(xi_pred.reshape(-1, n1),
+                                                 S_pred.reshape(-1, n1, n1), Y, model.map,
+                                                 model.R_factor, LR_inv)
     except NumericalFailureError as exc:
         if "hypothesis" in exc.context:  # the failing row's position in the stack
             exc.context["hypothesis"] %= M
         raise
-    mu_new = update_weights_log(mu, ll.reshape(R_runs, M))
-    xi_post = upd[0].reshape(xi.shape)
-    return (xi_post, upd[1].reshape(P.shape), mu_new, ll.reshape(R_runs, M),
-            (mu_new[:, None, :] @ xi_post)[:, 0], np.argmax(mu_new, axis=-1), upd)
+    ll, xi_post = ll.reshape(R_runs, M), xi_post.reshape(xi.shape)
+    mu_new = update_weights_log(mu, ll)
+    return (xi_post, P_post.reshape(P.shape), mu_new, ll,
+            (mu_new[:, None, :] @ xi_post)[:, 0], mu_new.argmax(axis=-1), rows)
 
 
 # Public per-belief API: the one-row case of the stacked stages.
@@ -286,13 +289,9 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     evaluated at the last iterate; for a nonsingular P_pred that is the inverse
     Fisher information [H + P_pred^{-1}]^{-1} with H = blkdiag(0, C^T R^{-1} C).
     """
-    p, x = measurement_map.output_dim, pred.x_mean[None]
-    y = _measurement_vector(y, p)[None]
-    C = _map_call(measurement_map.jacobian, x, (p, pred.n), "jacobian")
-    h = _map_call(measurement_map.evaluate, x, (p,), "evaluate")
-    _, LR_inv = _r_factors(R)
+    y = _measurement_vector(y, measurement_map.output_dim)[None]
     S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
-    xi, P, *rows = _update_rows(pred.xi_mean[None], S_pred, y, measurement_map, LR_inv, h, C)
+    _, xi, P, rows = _update_rows(pred.xi_mean[None], S_pred, y, measurement_map, *_r_factors(R))
     return JointBelief(xi[0], P[0]), _reports(*rows)[0]
 
 
@@ -301,12 +300,12 @@ def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: Measuremen
     """Log innovation density of y under the predicted belief.
 
     Gaussian with mean h(x_pred) and covariance C P^x C^T + R, with C the
-    measurement Jacobian at the predicted state mean.
+    measurement Jacobian at the predicted state mean; computed by round 0 of
+    :func:`newton_update`, with no factorization of the innovation covariance.
     """
     y = _measurement_vector(y, measurement_map.output_dim)[None]
     S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
-    ll, _, _ = _innovation_rows(pred.xi_mean[None], S_pred, y, measurement_map, _r_factors(R)[0])
-    return float(ll[0])
+    return float(_first_round(pred.xi_mean[None], S_pred, y, measurement_map, *_r_factors(R))[0][0])
 
 
 def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
@@ -319,14 +318,14 @@ def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
         mu, ll = mu.reshape(-1), ll.reshape(-1)
     if mu.shape != ll.shape:
         raise ContractError("weights and likelihoods must have equal length")
-    if np.any(mu < 0.0) or np.any(np.abs(mu.sum(axis=-1) - 1.0) > 1e-12):
+    if (mu < 0.0).any() or (np.abs(mu.sum(axis=-1) - 1.0) > 1e-12).any():
         raise ContractError(f"weights must form a simplex, got sum {mu.sum(axis=-1)!r}")
     with np.errstate(divide="ignore"):
         log_post = ll + np.log(mu)
     finite = np.isfinite(log_post)
     if not finite.any(axis=-1).all():
         raise DegenerateEvidenceError("all hypotheses received zero evidence")
-    top = np.max(np.where(finite, log_post, -np.inf), axis=-1, keepdims=True)
+    top = np.where(finite, log_post, -np.inf).max(axis=-1, keepdims=True)
     shifted = np.where(finite, np.exp(log_post - top), 0.0)
     mu_new = np.maximum(shifted / shifted.sum(axis=-1, keepdims=True), WEIGHT_FLOOR)
     return mu_new / mu_new.sum(axis=-1, keepdims=True)
@@ -347,14 +346,14 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
         if bank.xi_means.shape[1] != model.n + 1:
             raise ContractError(f"bank beliefs differ from the model's state dimension {model.n}")
         y = _measurement_vector(y, model.map.output_dim)
-        xi, P, mu, ll, _, identified, upd = _step_rows(
+        xi, P, mu, ll, _, identified, rows = _step_rows(
             bank.xi_means[None], bank.xi_covs[None], bank.weights[None], y[None], model)
     except (ContractError, NumericalFailureError) as exc:
         if step is not None:
             exc.context.setdefault("step", step)
         raise
     new_bank = HypothesisBank(xi[0], P[0], mu[0])
-    return StepResult(new_bank, fuse(new_bank), int(identified[0]), ll[0], _reports(*upd[2:]))
+    return StepResult(new_bank, fuse(new_bank), int(identified[0]), ll[0], _reports(*rows))
 
 
 def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:

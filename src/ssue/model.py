@@ -25,7 +25,7 @@ _SYMMETRY_TOL = 1e-10
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    m = np.asarray(value, dtype=float)
+    m = np.array(value, dtype=float)  # a copy: freezing it leaves the caller's array writable
     if m.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-d matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -61,9 +61,10 @@ class LocationMatrix:
 
 @dataclass(frozen=True)
 class LocationSet:
-    """Ordered set of candidate location matrices (the hypothesis index set)."""
+    """Ordered candidate location matrices (the hypothesis index set), stacked in ``entries``."""
 
     members: tuple[LocationMatrix, ...]
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -80,6 +81,8 @@ class LocationSet:
                         f"location matrices {i} and {j} are identical; members must be distinct"
                     )
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "entries", np.stack([m.entries for m in members]))
+        self.entries.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -147,7 +150,6 @@ def linear_map(C) -> MeasurementMap:
     C = _as_matrix(C, "C")
     if C.shape[0] < 1:
         raise ConfigurationError("C needs at least one row")
-    C.setflags(write=False)
     p, n = C.shape
     return MeasurementMap(
         output_dim=p,
@@ -175,7 +177,6 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
         raise ConfigurationError(
             f"position indices {(ix, iy)} invalid for state dimension {state_dim}"
         )
-    sensors.setflags(write=False)
     p = sensors.shape[0]
 
     def _offsets(x):
@@ -190,7 +191,7 @@ def range_sensor_map(sensor_positions: Sequence[Sequence[float]],
 
     def _guard(r, x):
         bad = r <= 0.0
-        if np.any(bad):
+        if bad.any():
             at = np.unravel_index(np.argmax(bad), bad.shape)
             raise SingularGradientError(
                 f"state position coincides with sensor {at[-1]}; range gradient undefined",

@@ -103,8 +103,7 @@ def _hypotheses(grid: DeltaGrid, locations: LocationSet):
     delta, ...) as deltas (N,), location indices (N,) and entries (N, n, n)."""
     M = len(locations)
     locs = np.tile(np.arange(M), len(grid))
-    entries = np.stack([loc.entries for loc in locations])[locs]
-    return np.repeat(grid.values, M), locs, entries
+    return np.repeat(grid.values, M), locs, locations.entries[locs]
 
 
 def _stack_blocks(deltas, entries, A, C, k: int) -> np.ndarray:

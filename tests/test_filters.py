@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -212,6 +213,19 @@ class TestLikelihood:
             y = rng.normal(size=1) * 5
             assert log_likelihood(pred, y, mmap, np.eye(1)) <= peak
 
+    @pytest.mark.parametrize("p, n, rank", [(2, 2, 3), (3, 2, 3), (2, 4, 5), (3, 4, 5), (3, 4, 2)])
+    def test_matches_dense_gaussian_density(self, rng, p, n, rank):
+        # rank < n + 1: the predicted joint covariance is singular and is used as it is
+        W = rng.normal(size=(n + 1, rank))
+        pred = JointBelief(rng.normal(size=n + 1), W @ W.T)
+        C, V = rng.normal(size=(p, n)), rng.normal(size=(p, p))
+        R = V @ V.T + np.eye(p)
+        y = C @ pred.x_mean + 2.0 * rng.normal(size=p)
+        Sigma, nu = C @ pred.p_x @ C.T + R, y - C @ pred.x_mean
+        dense = -0.5 * (p * np.log(2 * np.pi) + np.linalg.slogdet(Sigma)[1]
+                        + nu @ np.linalg.solve(Sigma, nu))
+        npt.assert_allclose(log_likelihood(pred, y, linear_map(C), R), dense, rtol=1e-12)
+
 
 class TestUpdateWeights:
     def test_uniform_evidence_leaves_weights(self):
@@ -276,6 +290,7 @@ class TestSsueStep:
         loc = model.locations[1]
         twin_set = object.__new__(LocationSet)  # bypass the distinctness invariant
         object.__setattr__(twin_set, "members", (loc, loc))
+        object.__setattr__(twin_set, "entries", np.stack([loc.entries, loc.entries]))
         twins = SystemModel(A=model.A, locations=twin_set, domain=model.domain,
                             Q=model.Q, R=model.R, P0=model.P0, map=model.map)
         bank = initial_bank(twins)
@@ -321,8 +336,8 @@ class TestSsueStep:
 
 class TestMapCalls:
     """A step calls the map once per stage for all hypotheses together, and the
-    MAP update starts from the h and C that the likelihood evaluated at the
-    predicted means instead of evaluating them again."""
+    likelihood comes from the first Gauss-Newton round, so h and C are evaluated
+    at the predicted means once for both."""
 
     @staticmethod
     def counting(model):
@@ -340,8 +355,9 @@ class TestMapCalls:
                                    jacobian=counted("jacobian"))
         return dataclasses.replace(model, map=mmap), calls
 
-    # likelihood: 1 + 1; each Gauss-Newton round: one residual, and a Jacobian
-    # from the second round on; the posterior: one Jacobian at the last iterate
+    # round 0 at the predicted means (likelihood and first step): 1 + 1; each
+    # Gauss-Newton round: one residual, then a Jacobian at the new iterates, for
+    # the next round or, after the last, for the posterior
     @pytest.mark.parametrize("max_iterations, expected", [(1, 2), (2, 3), (4, 5)])
     def test_calls_per_step_do_not_grow_with_hypotheses(self, rng, monkeypatch,
                                                          tracking_scenario, max_iterations,
@@ -404,6 +420,58 @@ class TestFactorCalls:
         (record,) = estimate_batch([scn])
         assert record.mu.shape == (1, 3)
         assert calls == []
+
+
+class TestLinalgCalls:
+    """The stacked factorizations of one step: a Cholesky of the incoming
+    covariances, a QR each for the prediction and the posterior, one solve per
+    Gauss-Newton round, the log-determinant of round 0's normal matrix for the
+    likelihood and one inverse of the posterior root.  The likelihood needs no
+    factorization of the innovation covariance of its own."""
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 4])
+    def test_step_linalg_call_budget(self, rng, monkeypatch, tracking_scenario, max_iterations):
+        monkeypatch.setattr(filters, "MAX_ITERATIONS", max_iterations)
+        model = tracking_scenario.model
+        bank, y = initial_bank(model), model.map.evaluate(rng.normal(size=4) * 3)
+        calls = collections.Counter()
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counted(*args, _real=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, counted)
+        result = ssue_step(bank, y, model)
+        assert all(r.iterations_used == max_iterations for r in result.reports)
+        assert calls == {"cholesky": 1, "qr": 2, "solve": max_iterations, "slogdet": 1, "inv": 1}
+
+
+class TestFrozenRows:
+    """Every update round works on all rows: a row that has finished takes a zero
+    step and keeps its iterate bit for bit while the other rows go on."""
+
+    def test_row_done_in_round_one_equals_it_stepped_alone(self, tracking_scenario):
+        model = tracking_scenario.model
+        xi = np.array([-0.105, 5.0, 5.0, 1.0, -0.5])
+        bank = HypothesisBank(np.tile(xi, (3, 1)), initial_bank(model).xi_covs, np.full(3, 1 / 3))
+        # a measurement that the first location's prediction explains to within 1e-7,
+        # so that row's first step is small enough to be its last, but not zero
+        pred = predict(JointBelief(xi, bank.xi_covs[0]), model.locations[0], model.A, model.Q)
+        y = model.map.evaluate(pred.x_mean) + 1e-7 * np.array([1.0, -1.0, 1.0])
+        result = ssue_step(bank, y, model)
+        first = result.reports[0]
+        assert first.converged and first.iterations_used == 1
+        assert min(r.iterations_used for r in result.reports[1:]) > 2
+        assert all(len(r.cost_trajectory) == r.iterations_used + 1 for r in result.reports)
+
+        alone_model = dataclasses.replace(model, locations=LocationSet(model.locations[:1]))
+        alone = ssue_step(HypothesisBank(bank.xi_means[:1], bank.xi_covs[:1], [1.0]), y,
+                          alone_model)
+        npt.assert_array_equal(result.bank.xi_means[0], alone.bank.xi_means[0])
+        npt.assert_array_equal(result.bank.xi_covs[0], alone.bank.xi_covs[0])
+        npt.assert_array_equal(result.log_lambdas[0], alone.log_lambdas[0])
+        assert first == alone.reports[0]
 
 
 class TestStepObjects:

@@ -120,6 +120,12 @@ class TestLocationTypes:
         s = LocationSet((LocationMatrix(np.eye(2)), LocationMatrix(np.diag([1.0, 0.0]))))
         assert s.labels == ["A1", "A2"]
 
+    def test_set_stacks_its_entries_read_only(self):
+        s = LocationSet((LocationMatrix(np.eye(2)), LocationMatrix(np.diag([1.0, 0.0]))))
+        npt.assert_array_equal(s.entries, [np.eye(2), np.diag([1.0, 0.0])])
+        with pytest.raises(ValueError, match="read-only"):
+            s.entries[0, 0, 0] = 0.0
+
     def test_domain_validation(self):
         with pytest.raises(ConfigurationError):
             UncertaintyDomain(((0.2, 0.1),))
@@ -152,6 +158,33 @@ class TestModelCovariances:
         zero = np.zeros_like(getattr(tracking_scenario.model, name))
         model = dataclasses.replace(tracking_scenario.model, **{name: zero})
         npt.assert_array_equal(getattr(model, name), zero)
+
+
+class TestCallerArrays:
+    """Constructors keep read-only copies: the caller's arrays stay writable, and
+    writing to them leaves the constructed object as it was."""
+
+    def test_model_copies_its_matrices(self, tracking_scenario):
+        model = tracking_scenario.model
+        Q = model.Q.copy()
+        replaced = dataclasses.replace(model, Q=Q)
+        Q[0, 0] = 1.0
+        npt.assert_array_equal(replaced.Q, model.Q)
+        with pytest.raises(ValueError, match="read-only"):
+            replaced.Q[0, 0] = 1.0
+
+    def test_location_matrix_copies_its_entries(self):
+        L = np.eye(2)
+        loc = LocationMatrix(L)
+        L[1, 1] = 0.0
+        npt.assert_array_equal(loc.entries, np.eye(2))
+
+    def test_maps_copy_their_constants(self):
+        C, sensors = np.eye(2), np.array([[10.0, 0.0], [0.0, 10.0]])
+        linear, ranges = linear_map(C), range_sensor_map(sensors, (0, 1), state_dim=2)
+        C[0, 0], sensors[0, 0] = 5.0, 3.0
+        npt.assert_array_equal(linear.evaluate(np.ones(2)), [1.0, 1.0])
+        npt.assert_allclose(ranges.evaluate(np.zeros(2)), [10.0, 10.0])
 
 
 class TestModelJson:
