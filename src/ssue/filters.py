@@ -9,9 +9,10 @@ innovation likelihood.  Location probabilities are then reweighted by the
 likelihoods and the bank is collapsed to a fused estimate.
 
 One stacked kernel, ``_step_rows``, does all of this for B = runs x M rows at
-once.  Every update round works on all B rows, and a finished row takes a zero
-step and keeps its iterate; rows never mix, so a run's numbers are
-bit-identical alone or in a batch.
+once.  An update round works on all rows still in its working set, and a
+finished row takes a zero step and keeps its iterate; a large batch drops its
+finished rows once they are half the set.  Rows never mix, so a run's numbers
+are bit-identical alone or in a batch.
 
 Likelihoods are handled in log domain throughout.
 """
@@ -30,6 +31,7 @@ LINE_SEARCH_CONTRACTION = 0.5
 LINE_SEARCH_MAX_HALVINGS = 20
 DECREMENT_TOL = 1e-12  # Newton decrement |g^T d| at which a MAP update stops, in cost (chi^2) units
 MAX_ITERATIONS = 10  # Gauss-Newton steps after which a MAP update stops unconverged
+GATHER_MIN_ROWS = 16  # fewer finished rows are carried through a MAP round, not gathered out
 WEIGHT_FLOOR = 1e-12
 
 
@@ -176,17 +178,19 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     with xi = xi_pred + S_pred u: the prior term of the cost is ||u||^2 and the normal matrix
     I + G^T G, with G = R^{-1/2} C S^x for the state rows S^x of S_pred, is never singular.
     The likelihood comes from round 0 (:func:`_first_round`).  Every round works on all
-    rows: a row that has converged or stalled takes a zero step and keeps its iterate."""
+    working rows, where a converged or stalled row takes a zero step and keeps its iterate;
+    once half of them, and ``GATHER_MIN_ROWS`` or more, are finished, those are dropped."""
     (B, n1), p = xi_pred.shape, y.shape[-1]
     ll, r, G, g, d = _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv)
-    u, xi, cost, Sx, eye = np.zeros((B, n1)), xi_pred, _dot(r, r), S_pred[:, 1:], np.eye(n1)
+    u, xi, cost, S, eye = np.zeros((B, n1)), xi_pred, _dot(r, r), S_pred, np.eye(n1)
     costs = np.vstack([cost, np.full((MAX_ITERATIONS, B), np.nan)])
     iterations, converged, done = np.zeros(B, dtype=int), np.zeros(B, bool), np.zeros(B, bool)
+    rows, xi_out, G_out = slice(None), np.empty_like(xi_pred), np.empty_like(G)  # working rows
     for t in range(MAX_ITERATIONS):
         if t:
             g, _, d = _gauss_newton(G, u, r, eye)
         d = np.where(done[:, None], 0.0, d)
-        step = _mv(S_pred, d)  # d moves xi by S_pred d
+        step = _mv(S, d)  # d moves xi by S_pred d
         # the step with a decrement at rounding level is the last; its cost may rise by as much
         small = np.abs(_dot(g, d)) < DECREMENT_TOL
         limit = np.where(small, cost + DECREMENT_TOL, cost)
@@ -206,20 +210,26 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
             d, step = LINE_SEARCH_CONTRACTION * d, LINE_SEARCH_CONTRACTION * step
         # rows with no non-increasing step keep their current iterate and stop
         moved = ~(done | search)
-        iterations += moved
-        costs[t + 1] = np.where(moved, cost, np.nan)
-        converged |= moved & small
+        iterations[rows] += moved
+        costs[t + 1, rows] = np.where(moved, cost, np.nan)
+        converged[rows] |= moved & small
         done |= search | small
         if not moved.any():
             break
         C = _map_call(measurement_map.jacobian, xi[:, 1:], (p, n1 - 1), "jacobian")
-        G = LR_inv @ C @ Sx  # at every row's iterate, for the next round or the posterior
-        if done.all():
+        G = LR_inv @ C @ S[:, 1:]  # at every row's iterate, for the next round or the posterior
+        finished = np.count_nonzero(done)
+        if finished == done.size:
             break
+        if finished >= max(GATHER_MIN_ROWS, done.size - finished):
+            xi_out[rows], G_out[rows], live = xi, G, ~done
+            rows = np.arange(B)[rows][live]
+            u, xi, r, cost, G, S, y, done = (a[live] for a in (u, xi, r, cost, G, S, y, done))
+    xi_out[rows], G_out[rows] = xi, G
     # U^T U = G^T G + I is the posterior information in u, so S_pred U^{-1} is the posterior factor
-    S_post = S_pred @ np.linalg.inv(_qr_root(G, eye))
+    S_post = S_pred @ np.linalg.inv(_qr_root(G_out, eye))
     P_post = symmetrize(S_post @ np.swapaxes(S_post, -1, -2))
-    return ll, xi, P_post, (iterations, costs, converged)
+    return ll, xi_out, P_post, (iterations, costs, converged)
 
 
 def _step_rows(xi, P, mu, y, model: SystemModel):

@@ -448,8 +448,9 @@ class TestLinalgCalls:
 
 
 class TestFrozenRows:
-    """Every update round works on all rows: a row that has finished takes a zero
-    step and keeps its iterate bit for bit while the other rows go on."""
+    """Every update round works on all rows of its working set: a row that has
+    finished takes a zero step and keeps its iterate bit for bit while the other
+    rows go on, and dropping finished rows from the set changes no number."""
 
     def test_row_done_in_round_one_equals_it_stepped_alone(self, tracking_scenario):
         model = tracking_scenario.model
@@ -472,6 +473,37 @@ class TestFrozenRows:
         npt.assert_array_equal(result.bank.xi_covs[0], alone.bank.xi_covs[0])
         npt.assert_array_equal(result.log_lambdas[0], alone.log_lambdas[0])
         assert first == alone.reports[0]
+
+    def test_dropping_finished_rows_changes_no_number(self, monkeypatch):
+        # gathering the finished rows out of a round (GATHER_MIN_ROWS = 1: whenever they
+        # are half the working set) passes fewer rows to the map and gives every row the
+        # numbers and report it has when they are carried to the end
+        evaluated = []
+        base = tracking_preset(steps=40)
+        real = base.model.map.evaluate
+        mmap = dataclasses.replace(base.model.map,
+                                   evaluate=lambda x: (evaluated.append(len(x)), real(x))[1])
+        template = dataclasses.replace(base, model=dataclasses.replace(base.model, map=mmap))
+        scenarios = [dataclasses.replace(template, seed=s) for s in range(60, 68)]
+        records = [simulate(s) for s in scenarios]
+        runs = []
+        for min_rows in (1, 10**9):
+            monkeypatch.setattr(filters, "GATHER_MIN_ROWS", min_rows)
+            evaluated.clear()
+            batch = estimate_batch(scenarios, records)
+            bank, reports = initial_bank(template.model), []
+            for y in records[0].measurements:
+                result = ssue_step(bank, y, template.model)
+                bank, reports = result.bank, reports + list(result.reports)
+            runs.append((batch, sum(evaluated), bank, reports))
+        (batch, rows, bank, reports), (batch_c, rows_c, bank_c, reports_c) = runs
+        assert rows < rows_c
+        for rec, rec_c in zip(batch, batch_c):
+            for name in ("mu", "log_lambdas", "fused_means", "identified"):
+                npt.assert_array_equal(getattr(rec, name), getattr(rec_c, name))
+        npt.assert_array_equal(bank.xi_means, bank_c.xi_means)
+        npt.assert_array_equal(bank.xi_covs, bank_c.xi_covs)
+        assert reports == reports_c
 
 
 class TestStepObjects:
