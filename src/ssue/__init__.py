@@ -13,13 +13,11 @@ from .analysis import (
     linearized_C,
     loglik_ratio_trajectory,
     output_covariance,
-    stacked_input_matrix,
 )
 from .belief import (
     HypothesisBank,
     JointBelief,
     fuse,
-    identify_location,
 )
 from .errors import (
     ConfigurationError,

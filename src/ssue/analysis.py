@@ -55,14 +55,6 @@ def _input_blocks(blocks: np.ndarray) -> np.ndarray:
     return tiles.transpose(0, 1, 3, 2, 4).reshape(N, K1 * p, (K1 - 1) * n)
 
 
-def stacked_input_matrix(delta: float, loc: LocationMatrix, A, C, k: int) -> np.ndarray:
-    """Block-Toeplitz map from the stacked process noise [w_0; ...; w_{k-1}]
-    to the stacked outputs: block (i, j) is C (A + delta L)^(i-j-1) for i > j."""
-    if k < 1:
-        raise ContractError("stacked input matrix needs k >= 1")
-    return _input_blocks(_stack_blocks([float(delta)], loc.entries[None], A, C, k))[0]
-
-
 def _stacked_outputs(model: SystemModel, deltas, entries, k: int, x_ref):
     """O_k, I_k (both batched over hypotheses), Omega_k, the stacked R and the
     batched Sigma_k, all from one set of stacked powers."""

@@ -154,11 +154,3 @@ def fuse(bank: HypothesisBank) -> JointBelief:
     diff = means - xi
     cov = np.einsum("i,ijk->jk", mus, bank.xi_covs) + np.einsum("i,ij,ik->jk", mus, diff, diff)
     return JointBelief(xi, cov)
-
-
-def identify_location(bank: HypothesisBank) -> int:
-    """Index (0-based position in the bank) of the most probable location.
-
-    Ties break toward the lowest index so runs are reproducible.
-    """
-    return int(np.argmax(bank.weights))

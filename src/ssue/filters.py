@@ -25,7 +25,7 @@ import numpy as np
 
 from .belief import HypothesisBank, JointBelief, fuse, psd_factor, symmetrize
 from .errors import ContractError, DegenerateEvidenceError, NumericalFailureError
-from .model import LocationMatrix, MeasurementMap, SystemModel
+from .model import SystemModel
 
 LINE_SEARCH_CONTRACTION = 0.5
 LINE_SEARCH_MAX_HALVINGS = 20
@@ -75,15 +75,6 @@ def initial_bank(model: SystemModel) -> HypothesisBank:
                           np.full(model.M, 1.0 / model.M))
 
 
-def _r_factors(R: np.ndarray):
-    """R^{1/2} and R^{-1/2} (lower Cholesky) of a positive definite R."""
-    try:
-        LR = np.linalg.cholesky(symmetrize(np.asarray(R, dtype=float)))
-    except np.linalg.LinAlgError:
-        raise ContractError("measurement noise covariance R is not positive definite") from None
-    return LR, np.linalg.inv(LR)
-
-
 def _r_whitener(model: SystemModel) -> np.ndarray:
     """The model's R^{-1/2}, which only a positive definite R has."""
     if model.R_whitener is None:
@@ -91,11 +82,14 @@ def _r_whitener(model: SystemModel) -> np.ndarray:
     return model.R_whitener
 
 
-def _measurement_vector(y, p: int) -> np.ndarray:
-    """y as a flat float vector of length p, rejecting any NaN or inf entry."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape != (p,):
-        raise ContractError(f"measurement must have shape ({p},), got {y.shape}")
+def _measurements(y, shape: tuple) -> np.ndarray:
+    """y as a float array of ``shape``, (p,) for one run or (R, p) for a stack of runs,
+    rejecting any NaN or inf entry; one run's measurement may come in any shape of p entries."""
+    y = np.asarray(y, dtype=float)
+    if len(shape) == 1:
+        y = y.reshape(-1)
+    if y.shape != shape:
+        raise ContractError(f"measurement must have shape {shape}, got {y.shape}")
     if not np.isfinite(y).all():
         raise ContractError(f"measurement has non-finite entries: {y}")
     return y
@@ -170,7 +164,12 @@ def _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     g, N, d = _gauss_newton(G, np.zeros_like(xi_pred), r, np.eye(xi_pred.shape[-1]))
     e = r - _mv(G, d)
     log_det = 2.0 * np.log(LR.diagonal()).sum() + np.linalg.slogdet(N)[1]
-    return -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(e, e) + _dot(d, d)), r, G, g, d
+    ll = -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(e, e) + _dot(d, d))
+    bad = np.flatnonzero(~np.isfinite(ll))  # e.g. a map that gives NaN at a predicted mean
+    if bad.size:
+        raise NumericalFailureError(f"log-likelihood at the predicted mean is {ll[bad[0]]}",
+                                    context={"hypothesis": int(bad[0])})
+    return ll, r, G, g, d
 
 
 def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
@@ -257,30 +256,36 @@ def _step_rows(xi, P, mu, y, model: SystemModel):
             (mu_new[:, None, :] @ xi_post)[:, 0], mu_new.argmax(axis=-1), rows)
 
 
-# Public per-belief API: the one-row case of the stacked stages.
+# Public per-belief API: the one-row case of the stacked stages, under one model.
 
-def predict(belief: JointBelief, loc: LocationMatrix, A: np.ndarray, Q: np.ndarray) -> JointBelief:
-    """Propagate a joint belief one step through x+ = (A + delta * L) x + w.
+def _one_row(belief: JointBelief, model: SystemModel, name: str):
+    """A belief's mean and covariance factor as one-row stacks, checked against the model."""
+    if belief.n != model.n:
+        raise ContractError(f"belief has state dimension {belief.n}, the model {model.n}")
+    return belief.xi_mean[None], psd_factor(belief.xi_cov[None], name)
+
+
+def predict(belief: JointBelief, model: SystemModel, i: int) -> JointBelief:
+    """Propagate a joint belief one step through x+ = (A + delta * L) x + w, with L the
+    model's location ``i`` and w ~ N(0, Q).
 
     The joint covariance is pushed through the Jacobian F = [[1, 0], [L x, A + delta L]]
     of [delta; x] -> [delta; x+], so the perturbation mean and variance carry over
     unchanged.  A singular Q is used exactly, as in the filter: no jitter is added.
     """
-    n = belief.n
-    A, Q = np.asarray(A, dtype=float), np.asarray(Q, dtype=float)
-    if A.shape != (n, n) or Q.shape != (n, n) or loc.n != n:
-        raise ContractError("prediction inputs disagree on the state dimension")
-    S = psd_factor(belief.xi_cov[None], "joint covariance")
-    xi, S_pred = _predict_rows(belief.xi_mean[None], S, loc.entries[None], A,
-                               psd_factor(Q, "process noise covariance Q"))
+    if not 0 <= i < model.M:
+        raise ContractError(f"location index {i} is not one of the model's {model.M}")
+    xi, S = _one_row(belief, model, "joint covariance")
+    xi, S_pred = _predict_rows(xi, S, model.locations.entries[i][None], model.A, model.Q_factor)
     P = symmetrize(S_pred[0] @ S_pred[0].T)
     P[0, 0] = belief.p_delta  # exact: delta has no process noise, and sqrt(p)^2 need not be p
     return JointBelief(xi[0], P)
 
 
-def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,
-                  R: np.ndarray) -> tuple[JointBelief, UpdateReport]:
-    """Iterative MAP measurement update of the predicted joint belief.
+def newton_update(pred: JointBelief, y: np.ndarray,
+                  model: SystemModel) -> tuple[JointBelief, UpdateReport]:
+    """Iterative MAP measurement update of the predicted joint belief under the model's
+    measurement map h and noise covariance R.
 
     Minimizes the stacked least-squares cost
 
@@ -299,37 +304,39 @@ def newton_update(pred: JointBelief, y: np.ndarray, measurement_map: Measurement
     evaluated at the last iterate; for a nonsingular P_pred that is the inverse
     Fisher information [H + P_pred^{-1}]^{-1} with H = blkdiag(0, C^T R^{-1} C).
     """
-    y = _measurement_vector(y, measurement_map.output_dim)[None]
-    S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
-    _, xi, P, rows = _update_rows(pred.xi_mean[None], S_pred, y, measurement_map, *_r_factors(R))
+    y = _measurements(y, (model.p,))[None]
+    xi, S_pred = _one_row(pred, model, "predicted joint covariance")
+    _, xi, P, rows = _update_rows(xi, S_pred, y, model.map, model.R_factor, _r_whitener(model))
     return JointBelief(xi[0], P[0]), _reports(*rows)[0]
 
 
-def log_likelihood(pred: JointBelief, y: np.ndarray, measurement_map: MeasurementMap,
-                   R: np.ndarray) -> float:
+def log_likelihood(pred: JointBelief, y: np.ndarray, model: SystemModel) -> float:
     """Log innovation density of y under the predicted belief.
 
     Gaussian with mean h(x_pred) and covariance C P^x C^T + R, with C the
     measurement Jacobian at the predicted state mean; computed by round 0 of
     :func:`newton_update`, with no factorization of the innovation covariance.
     """
-    y = _measurement_vector(y, measurement_map.output_dim)[None]
-    S_pred = psd_factor(pred.xi_cov[None], "predicted joint covariance")
-    return float(_first_round(pred.xi_mean[None], S_pred, y, measurement_map, *_r_factors(R))[0][0])
+    y = _measurements(y, (model.p,))[None]
+    xi, S_pred = _one_row(pred, model, "predicted joint covariance")
+    return float(_first_round(xi, S_pred, y, model.map, model.R_factor, _r_whitener(model))[0][0])
 
 
 def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
     """Bayes update of the location probabilities from log evidences; stacks
     (R, M) of weights and log evidences are updated one run (row) at a time.
-    Each posterior weight is floored at ``WEIGHT_FLOOR`` and the row
-    renormalized, so no hypothesis dies for good."""
+    A log evidence of -inf is zero evidence and a NaN is refused.  Each posterior
+    weight is floored at ``WEIGHT_FLOOR`` and the row renormalized, so no
+    hypothesis dies for good."""
     mu, ll = np.asarray(mu_prev, dtype=float), np.asarray(log_lambdas, dtype=float)
     if mu.ndim != 2:
         mu, ll = mu.reshape(-1), ll.reshape(-1)
     if mu.shape != ll.shape:
         raise ContractError("weights and likelihoods must have equal length")
-    if (mu < 0.0).any() or (np.abs(mu.sum(axis=-1) - 1.0) > 1e-12).any():
+    if not ((mu >= 0.0).all() and (np.abs(mu.sum(axis=-1) - 1.0) <= 1e-12).all()):  # NaN fails
         raise ContractError(f"weights must form a simplex, got sum {mu.sum(axis=-1)!r}")
+    if np.isnan(ll).any():
+        raise ContractError(f"log evidence has NaN entries: {ll}")
     with np.errstate(divide="ignore"):
         log_post = ll + np.log(mu)
     finite = np.isfinite(log_post)
@@ -355,7 +362,7 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
             raise ContractError(f"bank has {bank.M} hypotheses, model has {model.M} locations")
         if bank.xi_means.shape[1] != model.n + 1:
             raise ContractError(f"bank beliefs differ from the model's state dimension {model.n}")
-        y = _measurement_vector(y, model.map.output_dim)
+        y = _measurements(y, (model.p,))
         xi, P, mu, ll, _, identified, rows = _step_rows(
             bank.xi_means[None], bank.xi_covs[None], bank.weights[None], y[None], model)
     except (ContractError, NumericalFailureError) as exc:
@@ -372,7 +379,7 @@ def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     Also steps R runs at once: means (R, n), covariances (R, n, n), measurements (R, p).
     """
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-    y = np.asarray(y, dtype=float) if mean.ndim > 1 else _measurement_vector(y, model.p)
+    y = _measurements(y, mean.shape[:-1] + (model.p,))
     m_pred = _mv(model.A, mean)
     P_pred = symmetrize(model.A @ cov @ model.A.T + model.Q)
     C = _map_call(model.map.jacobian, m_pred, (model.p, model.n), "jacobian")

@@ -125,9 +125,6 @@ class UncertaintyDomain:
         """Smallest single interval containing the whole domain."""
         return (min(lo for lo, _ in self.intervals), max(hi for _, hi in self.intervals))
 
-    def contains(self, value: float) -> bool:
-        return any(lo <= value <= hi for lo, hi in self.intervals)
-
 
 @dataclass(frozen=True)
 class MeasurementMap:

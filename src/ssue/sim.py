@@ -240,6 +240,9 @@ def estimate_batch(scenarios, records=None) -> list:
             raise ContractError("the records of a batch must have equal lengths")
         return outcomes
     Y = np.stack([outcomes[i].measurements for i in batch])
+    if Y.shape[2:] != (model.p,):
+        raise ContractError(f"records have measurements of shape {Y.shape[1:]} (steps, p), "
+                            f"the model's measurement map gives p = {model.p}")
     if not np.isfinite(Y).all():
         raise ContractError("measurement has non-finite entries",
                             context={"step": int(np.argwhere(~np.isfinite(Y))[0, 1])})

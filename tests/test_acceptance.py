@@ -17,6 +17,9 @@ from ssue import (
     HypothesisBank,
     JointBelief,
     LocationMatrix,
+    LocationSet,
+    SystemModel,
+    UncertaintyDomain,
     fuse,
     initial_bank,
     kl_separation,
@@ -55,11 +58,13 @@ def test_criterion_1_kalman_oracle_equivalence():
     loc_entries[rng.integers(n), rng.integers(n)] = 1.0
     loc = LocationMatrix(loc_entries)
     C = rng.normal(size=(p, n))
-    mmap = linear_map(C)
     C_aug = np.hstack([np.zeros((p, 1)), C])
     W = rng.normal(size=(n, n))
     Q = 0.1 * (W @ W.T) + 0.05 * np.eye(n)
     R = np.diag(rng.uniform(0.5, 2.0, p))
+    model = SystemModel(A=A, locations=LocationSet((loc,)),
+                        domain=UncertaintyDomain(((-0.1, 0.0),)),
+                        Q=Q, R=R, P0=np.eye(n), map=linear_map(C))
 
     belief = JointBelief(
         np.concatenate([[-0.05], rng.normal(size=n)]),
@@ -67,9 +72,9 @@ def test_criterion_1_kalman_oracle_equivalence():
     )
     worst_mean = worst_cov = 0.0
     for _ in range(100):
-        pred = predict(belief, loc, A, Q)
+        pred = predict(belief, model, 0)
         y = C @ pred.x_mean + rng.normal(size=p)
-        post, _ = newton_update(pred, y, mmap, R)
+        post, _ = newton_update(pred, y, model)
 
         P_pred = pred.xi_cov
         S = C_aug @ P_pred @ C_aug.T + R
@@ -106,7 +111,7 @@ def test_criterion_2_map_cost_oracle():
         xi_pred = np.concatenate([[rng.uniform(-0.15, -0.05)], rng.normal(size=4) * 3])
         pred = JointBelief(xi_pred, P_pred)
         y = model.map.evaluate(pred.x_mean + rng.normal(size=4)) + 0.5 * rng.normal(size=3)
-        post, _ = newton_update(pred, y, model.map, model.R)
+        post, _ = newton_update(pred, y, model)
         res = minimize(cost, xi_pred, args=(xi_pred, P_pred, y), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 20000, "maxfev": 20000})

@@ -8,21 +8,35 @@ from ssue import (
     ContractError,
     DeltaGrid,
     LocationMatrix,
+    LocationSet,
+    SystemModel,
+    UncertaintyDomain,
     gaussian_kl,
     kl_separation,
+    linear_map,
     linearized_C,
     loglik_ratio_trajectory,
     model_from_json,
     output_covariance,
-    stacked_input_matrix,
 )
 
 
+def input_matrix(delta, loc, A, C, k):
+    """I_k of :func:`output_covariance` for the model x+ = (A + delta L) x + w, y = C x + v."""
+    n, p = A.shape[0], C.shape[0]
+    model = SystemModel(A=A, locations=LocationSet((loc,)), domain=UncertaintyDomain(((-1, 1),)),
+                        Q=np.eye(n), R=np.eye(p), P0=np.eye(n), map=linear_map(C))
+    return output_covariance(delta, loc, model, k, x_ref=np.zeros(n)).I_k
+
+
 class TestStackedInputMatrix:
+    """I_k: the block-Toeplitz map from the stacked process noise [w_0; ...; w_{k-1}]
+    to the stacked outputs, block (i, j) = C (A + delta L)^(i-j-1) for i > j."""
+
     def test_k1_layout(self, rng):
         C = rng.normal(size=(2, 3))
         loc = LocationMatrix(np.diag([1.0, 0.0, 0.0]))
-        I1 = stacked_input_matrix(-0.1, loc, np.eye(3), C, 1)
+        I1 = input_matrix(-0.1, loc, np.eye(3), C, 1)
         npt.assert_array_equal(I1[:2], np.zeros((2, 3)))
         npt.assert_array_equal(I1[2:], C)
 
@@ -30,7 +44,7 @@ class TestStackedInputMatrix:
         A = rng.normal(size=(2, 2))
         C = rng.normal(size=(1, 2))
         loc = LocationMatrix(np.diag([1.0, 0.0]))
-        I2 = stacked_input_matrix(0.0, loc, A, C, 2)
+        I2 = input_matrix(0.0, loc, A, C, 2)
         expected = np.zeros((3, 4))
         expected[1, :2] = C
         expected[2, :2] = C @ A
@@ -44,7 +58,7 @@ class TestStackedInputMatrix:
         loc = LocationMatrix(np.diag([0.0, 1.0, 0.0]))
         delta = -0.3
         W = rng.normal(size=(k, n))
-        I_k = stacked_input_matrix(delta, loc, A, C, k)
+        I_k = input_matrix(delta, loc, A, C, k)
         stacked = I_k @ W.reshape(-1)
 
         # forward simulation with x0 = 0 and no measurement noise
@@ -56,9 +70,11 @@ class TestStackedInputMatrix:
             outputs.append(C @ x)
         npt.assert_allclose(stacked, np.concatenate(outputs), rtol=1e-12, atol=1e-12)
 
-    def test_k0_rejected(self):
-        with pytest.raises(ContractError):
-            stacked_input_matrix(0.0, LocationMatrix(np.eye(1)), np.eye(1), np.eye(1), 0)
+    def test_k0_is_empty_and_negative_k_rejected(self):
+        # y_0 carries no process noise, so I_0 has no columns
+        assert input_matrix(0.0, LocationMatrix(np.eye(1)), np.eye(1), np.eye(1), 0).shape == (1, 0)
+        with pytest.raises(ContractError, match="horizon"):
+            input_matrix(0.0, LocationMatrix(np.eye(1)), np.eye(1), np.eye(1), -1)
 
 
 class TestLinearizedC:

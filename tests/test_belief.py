@@ -6,9 +6,13 @@ from ssue import (
     ContractError,
     HypothesisBank,
     JointBelief,
+    LocationSet,
     NumericalFailureError,
+    SystemModel,
     fuse,
-    identify_location,
+    initial_bank,
+    ssue_step,
+    tracking_preset,
 )
 from ssue.belief import PSD_REL_TOL, psd_factor
 
@@ -153,26 +157,41 @@ class TestFuse:
 
 
 class TestIdentifyLocation:
+    """The identified location is the argmax of the posterior weights, ties to the
+    lowest index. M copies of one belief at one repeated location get equal evidence,
+    so the posterior weights are the prior's and the rule acts on them directly."""
+
+    @staticmethod
+    def identified(weights):
+        model = tracking_preset(seed=4).model
+        loc = model.locations[1]
+        M = len(weights)
+        twin_set = object.__new__(LocationSet)  # bypass the distinctness invariant
+        object.__setattr__(twin_set, "members", (loc,) * M)
+        object.__setattr__(twin_set, "entries", np.stack([loc.entries] * M))
+        twins = SystemModel(A=model.A, locations=twin_set, domain=model.domain,
+                            Q=model.Q, R=model.R, P0=model.P0, map=model.map)
+        start = initial_bank(twins)
+        bank = HypothesisBank(start.xi_means, start.xi_covs, np.asarray(weights))
+        result = ssue_step(bank, model.map.evaluate(np.ones(model.n)), twins)
+        assert np.all(result.log_lambdas == result.log_lambdas[0])
+        npt.assert_allclose(result.bank.weights, weights, rtol=1e-14)
+        return result.identified_index
+
     def test_unique_max(self):
-        bank = HypothesisBank(*bank_of(make_belief(), 3),
-                              weights=np.array([0.2, 0.7, 0.1]))
-        assert identify_location(bank) == 1
+        assert self.identified(np.array([0.2, 0.7, 0.1])) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        bank = HypothesisBank(*bank_of(make_belief(), 2), weights=np.array([0.5, 0.5]))
-        assert identify_location(bank) == 0
-        uniform = HypothesisBank(*bank_of(make_belief(), 3), weights=np.full(3, 1 / 3))
-        assert identify_location(uniform) == 0
+        assert self.identified(np.array([0.5, 0.5])) == 0
+        assert self.identified(np.full(3, 1 / 3)) == 0
 
     def test_invariant_under_positive_scaling(self, rng):
         for _ in range(20):
             w = rng.uniform(0.01, 1.0, 4)
             w = w / w.sum()
-            bank = HypothesisBank(*bank_of(make_belief(), 4), weights=w)
             scaled = w * rng.uniform(0.1, 10.0)
-            scaled_bank = HypothesisBank(*bank_of(make_belief(), 4),
-                                         weights=scaled / scaled.sum())
-            assert identify_location(bank) == identify_location(scaled_bank)
+            assert self.identified(w) == self.identified(scaled / scaled.sum())
+            assert self.identified(w) == np.argmax(w)
 
 
 def _spd(n, seed=3):

@@ -200,6 +200,19 @@ class TestEstimateCommand:
         assert main(["estimate", "--config", cfg2, "--input", str(tmp_path / "sim")]) == 2
         assert re.search(named, capsys.readouterr().err)
 
+    def test_input_record_of_another_measurement_width_exits_2(self, tmp_path, capsys):
+        cfg = preset_config(tmp_path, out="sim", seed=11, steps=6)
+        assert main(["simulate", "--config", cfg]) == 0
+        path = tmp_path / "sim" / "measurements.csv"  # the last of 3 ranges cut off
+        path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                for line in path.read_text().splitlines()))
+        capsys.readouterr()
+        cfg2 = preset_config(tmp_path, out="est", seed=11, steps=6)
+        assert main(["estimate", "--config", cfg2, "--input", str(tmp_path / "sim")]) == 2
+        err = capsys.readouterr().err
+        assert "measurements of shape (6, 2)" in err and "p = 3" in err
+        assert "jacobian" not in err
+
     def test_seed_override_wins(self, tmp_path):
         cfg = preset_config(tmp_path, seed=5, steps=10)
         assert main(["estimate", "--config", cfg, "--seed", "99",

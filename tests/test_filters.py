@@ -15,6 +15,7 @@ from ssue import (
     LocationMatrix,
     LocationSet,
     MeasurementMap,
+    NumericalFailureError,
     SystemModel,
     UncertaintyDomain,
     ekf_step,
@@ -62,6 +63,14 @@ def rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def linear_model(A, Q, C, R, loc=None):
+    """One-location model x+ = (A + delta L) x + w, y = C x + v; L defaults to I."""
+    n = A.shape[0]
+    loc = LocationMatrix(np.eye(n)) if loc is None else loc
+    return SystemModel(A=A, locations=LocationSet((loc,)), domain=UncertaintyDomain(((-0.2, 0.0),)),
+                       Q=Q, R=R, P0=np.eye(n), map=linear_map(C))
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 
@@ -70,21 +79,22 @@ class TestPredict:
     def test_zero_delta_reduces_to_nominal_dynamics(self, rng):
         n = 3
         A = rng.normal(size=(n, n))
-        loc = LocationMatrix(np.diag([1.0, 0.0, 1.0]))
+        model = linear_model(A, np.zeros((n, n)), np.eye(n), np.eye(n),
+                             LocationMatrix(np.diag([1.0, 0.0, 1.0])))
         b = JointBelief(np.concatenate([[0.0], rng.normal(size=n)]), np.eye(n + 1))
-        out = predict(b, loc, A, np.zeros((n, n)))
+        out = predict(b, model, 0)
         npt.assert_allclose(out.x_mean, A @ b.x_mean, rtol=1e-14)
 
     def test_scalar_hand_case_mean(self):
         b = JointBelief(np.array([-0.05, 2.0]), np.eye(2))
-        out = predict(b, LocationMatrix(np.ones((1, 1))), np.ones((1, 1)), np.zeros((1, 1)))
+        out = predict(b, linear_model(np.ones((1, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1)), 0)
         npt.assert_allclose(out.x_mean, [1.9], rtol=1e-14)
 
     def test_scalar_hand_case_covariance_blocks(self):
         # A=[1], L=[1], delta=0, x=[1], unit joint covariance, Q=[0]:
         # F=[1,1], P^x+ = 2, P^{dx}+ = 1, P^d+ = 1 (the singular Q is used as it is)
         b = JointBelief(np.array([0.0, 1.0]), np.eye(2))
-        out = predict(b, LocationMatrix(np.ones((1, 1))), np.ones((1, 1)), np.zeros((1, 1)))
+        out = predict(b, linear_model(np.ones((1, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1)), 0)
         assert out.p_delta == 1.0
         npt.assert_array_equal(out.p_x, [[2.0]])
         npt.assert_array_equal(out.p_delta_x, [1.0])
@@ -92,7 +102,7 @@ class TestPredict:
     def test_preserves_delta_variance_exactly(self, rng, tracking_scenario):
         model = tracking_scenario.model
         b = random_belief(rng, model.n)
-        out = predict(b, model.locations[1], model.A, model.Q)
+        out = predict(b, model, 1)
         assert out.p_delta == b.p_delta
         assert out.delta_mean == b.delta_mean
 
@@ -100,10 +110,24 @@ class TestPredict:
         model = tracking_scenario.model
         for _ in range(10):
             b = random_belief(rng, model.n)
-            out = predict(b, model.locations[0], model.A, model.Q)
+            out = predict(b, model, 0)
             P = out.xi_cov
             npt.assert_array_equal(P, P.T)
             assert np.linalg.eigvalsh(P)[0] > 0
+
+    def test_belief_of_another_state_dimension_is_contract_error(self, rng, tracking_scenario):
+        model = tracking_scenario.model
+        small = random_belief(rng, model.n - 1)
+        for call in (lambda: predict(small, model, 0),
+                     lambda: log_likelihood(small, np.zeros(model.p), model),
+                     lambda: newton_update(small, np.zeros(model.p), model)):
+            with pytest.raises(ContractError, match="state dimension 3, the model 4"):
+                call()
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_location_index_out_of_range_is_contract_error(self, rng, tracking_scenario, i):
+        with pytest.raises(ContractError, match="location index"):
+            predict(random_belief(rng, 4), tracking_scenario.model, i)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +137,10 @@ class TestPredict:
 class TestNewtonUpdate:
     def test_zero_innovation_is_fixed_point(self, rng):
         n, p = 3, 2
-        mmap = linear_map(rng.normal(size=(p, n)))
+        model = linear_model(np.eye(n), np.eye(n), rng.normal(size=(p, n)), np.eye(p))
         pred = random_belief(rng, n)
-        y = mmap.evaluate(pred.x_mean)
-        post, report = newton_update(pred, y, mmap, np.eye(p))
+        y = model.map.evaluate(pred.x_mean)
+        post, report = newton_update(pred, y, model)
         npt.assert_allclose(post.xi_mean, pred.xi_mean, rtol=0, atol=1e-12)
         assert report.converged
 
@@ -125,16 +149,16 @@ class TestNewtonUpdate:
         monkeypatch.setattr(filters, "MAX_ITERATIONS", max_iterations)
         n, p = 4, 2
         C = rng.normal(size=(p, n))
-        mmap = linear_map(C)
         R = np.diag(rng.uniform(0.5, 2.0, p))
+        model = linear_model(np.eye(n), np.eye(n), C, R)
         C_aug = np.hstack([np.zeros((p, 1)), C])
         # a rank-deficient predicted covariance (one state pinned) is used exactly
         W = rng.normal(size=(n + 1, n + 1))
         W[n] = 0.0
         pinned = JointBelief(np.concatenate([[-0.1], rng.normal(size=n)]), W @ W.T)
         for pred in [random_belief(rng, n) for _ in range(10)] + [pinned]:
-            y = mmap.evaluate(pred.x_mean) + rng.normal(size=p)
-            post, _ = newton_update(pred, y, mmap, R)
+            y = C @ pred.x_mean + rng.normal(size=p)
+            post, _ = newton_update(pred, y, model)
             xi_ref, P_ref = kalman_update_oracle(
                 pred.xi_mean, pred.xi_cov, y, C_aug, R)
             assert rel_err(post.xi_mean, xi_ref) <= 1e-8
@@ -146,7 +170,7 @@ class TestNewtonUpdate:
             pred = random_belief(rng, model.n, x_scale=3.0)
             x_true = pred.x_mean + rng.normal(size=model.n)
             y = model.map.evaluate(x_true) + rng.normal(size=model.p) * 0.5
-            post, _ = newton_update(pred, y, model.map, model.R)
+            post, _ = newton_update(pred, y, model)
             P_pred = pred.xi_cov
             res = minimize(
                 map_cost, pred.xi_mean,
@@ -167,7 +191,7 @@ class TestNewtonUpdate:
         for _ in range(10):
             pred = random_belief(rng, model.n, x_scale=4.0)
             y = model.map.evaluate(pred.x_mean + rng.normal(size=model.n) * 2.0)
-            _, report = newton_update(pred, y, model.map, model.R)
+            _, report = newton_update(pred, y, model)
             costs = np.asarray(report.cost_trajectory)
             assert np.all(np.diff(costs) <= 1e-12)
             assert report.final_cost == costs[-1]
@@ -179,8 +203,9 @@ class TestNewtonUpdate:
         # the update has no options: Gauss-Newton only, stopping on the Newton
         # decrement or at MAX_ITERATIONS, always backtracking
         pred = random_belief(rng, 2)
+        model = linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(TypeError):
-            newton_update(pred, np.zeros(2), linear_map(np.eye(2)), np.eye(2), **removed)
+            newton_update(pred, np.zeros(2), model, **removed)
 
 
 # ---------------------------------------------------------------------------
@@ -191,27 +216,27 @@ class TestLikelihood:
     def test_scalar_zero_innovation_value(self):
         # p=1, h(x)=x, P^x=1, R=1, nu=0: (2 pi * 2)^{-1/2}
         pred = JointBelief(np.array([0.0, 1.5]), np.eye(2))
-        mmap = linear_map(np.eye(1))
-        loglam = log_likelihood(pred, np.array([1.5]), mmap, np.eye(1))
+        model = linear_model(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
+        loglam = log_likelihood(pred, np.array([1.5]), model)
         npt.assert_allclose(loglam, np.log(1.0 / np.sqrt(4.0 * np.pi)), rtol=1e-12)
         npt.assert_allclose(loglam, np.log(0.28209), rtol=1e-4)
 
     def test_huge_innovation_underflows_but_log_is_finite(self):
         pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
-        mmap = linear_map(np.eye(1))
+        model = linear_model(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
         y = np.array([100.0 * np.sqrt(2.0)])  # 100 sigma for Gamma = 2
-        loglam = log_likelihood(pred, y, mmap, np.eye(1))
+        loglam = log_likelihood(pred, y, model)
         assert np.exp(loglam) == 0.0  # the linear-domain value underflows
         expected = -0.5 * 100.0 ** 2 - 0.5 * np.log(2 * np.pi * 2.0)
         npt.assert_allclose(loglam, expected, rtol=1e-12)
 
     def test_maximal_at_zero_innovation(self, rng):
         pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
-        mmap = linear_map(np.eye(1))
-        peak = log_likelihood(pred, np.zeros(1), mmap, np.eye(1))
+        model = linear_model(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
+        peak = log_likelihood(pred, np.zeros(1), model)
         for _ in range(20):
             y = rng.normal(size=1) * 5
-            assert log_likelihood(pred, y, mmap, np.eye(1)) <= peak
+            assert log_likelihood(pred, y, model) <= peak
 
     @pytest.mark.parametrize("p, n, rank", [(2, 2, 3), (3, 2, 3), (2, 4, 5), (3, 4, 5), (3, 4, 2)])
     def test_matches_dense_gaussian_density(self, rng, p, n, rank):
@@ -224,7 +249,8 @@ class TestLikelihood:
         Sigma, nu = C @ pred.p_x @ C.T + R, y - C @ pred.x_mean
         dense = -0.5 * (p * np.log(2 * np.pi) + np.linalg.slogdet(Sigma)[1]
                         + nu @ np.linalg.solve(Sigma, nu))
-        npt.assert_allclose(log_likelihood(pred, y, linear_map(C), R), dense, rtol=1e-12)
+        model = linear_model(np.eye(n), np.eye(n), C, R)
+        npt.assert_allclose(log_likelihood(pred, y, model), dense, rtol=1e-12)
 
 
 class TestUpdateWeights:
@@ -253,6 +279,14 @@ class TestUpdateWeights:
             update_weights_log([0.5, 0.5], np.log([1.0]))
         with pytest.raises(ContractError):
             update_weights_log([0.7, 0.7], np.log([1.0, 1.0]))
+        with pytest.raises(ContractError, match="simplex"):
+            update_weights_log([np.nan, 0.5], [0.0, 0.0])
+
+    def test_nan_evidence_is_refused_and_minus_inf_is_zero_evidence(self):
+        with pytest.raises(ContractError, match="NaN"):
+            update_weights_log([0.5, 0.5], [np.nan, 0.0])
+        npt.assert_allclose(update_weights_log([0.5, 0.5], [-np.inf, 0.0]), [1e-12, 1.0],
+                            rtol=1e-6)
 
     def test_identified_location_invariant_under_lambda_scaling(self, rng):
         for _ in range(20):
@@ -298,6 +332,23 @@ class TestSsueStep:
         result = ssue_step(bank, y, twins)
         assert result.log_lambdas[0] == result.log_lambdas[1]
         npt.assert_allclose(result.bank.weights, [0.5, 0.5], atol=1e-15)
+        assert result.identified_index == 0  # a tie goes to the lowest index
+
+    def test_matches_the_one_row_functions(self, tracking_scenario):
+        # each hypothesis of a step is predict -> log_likelihood -> newton_update under
+        # the same model, up to the re-factoring of the predicted covariance
+        model = tracking_scenario.model
+        bank = initial_bank(model)
+        for y in simulate(tracking_scenario).measurements[:60]:
+            result = ssue_step(bank, y, model)
+            for i in range(model.M):
+                pred = predict(JointBelief(bank.xi_means[i], bank.xi_covs[i]), model, i)
+                post, report = newton_update(pred, y, model)
+                assert rel_err(log_likelihood(pred, y, model), result.log_lambdas[i]) <= 1e-12
+                assert rel_err(post.xi_mean, result.bank.xi_means[i]) <= 1e-12
+                assert rel_err(post.xi_cov, result.bank.xi_covs[i]) <= 1e-12
+                assert report.iterations_used == result.reports[i].iterations_used
+            bank = result.bank
 
     def test_bank_model_mismatch_is_contract_error(self, tracking_scenario):
         model = tracking_scenario.model
@@ -326,6 +377,7 @@ class TestSsueStep:
             result = ssue_step(bank, rec.measurements[k], scn.model, step=k)
             bank = result.bank
             assert abs(bank.weights.sum() - 1.0) <= 1e-12
+            assert result.identified_index == np.argmax(bank.weights)
             for P in bank.xi_covs:
                 npt.assert_array_equal(P, P.T)
                 eig = np.linalg.eigvalsh(P)
@@ -458,7 +510,7 @@ class TestFrozenRows:
         bank = HypothesisBank(np.tile(xi, (3, 1)), initial_bank(model).xi_covs, np.full(3, 1 / 3))
         # a measurement that the first location's prediction explains to within 1e-7,
         # so that row's first step is small enough to be its last, but not zero
-        pred = predict(JointBelief(xi, bank.xi_covs[0]), model.locations[0], model.A, model.Q)
+        pred = predict(JointBelief(xi, bank.xi_covs[0]), model, 0)
         y = model.map.evaluate(pred.x_mean) + 1e-7 * np.array([1.0, -1.0, 1.0])
         result = ssue_step(bank, y, model)
         first = result.reports[0]
@@ -541,9 +593,9 @@ class TestSingularMeasurementNoise:
         bank = initial_bank(model)
         pred = JointBelief(bank.xi_means[0], bank.xi_covs[0])
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
-            newton_update(pred, np.ones(model.p), model.map, model.R)
+            newton_update(pred, np.ones(model.p), model)
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
-            log_likelihood(pred, np.ones(model.p), model.map, model.R)
+            log_likelihood(pred, np.ones(model.p), model)
 
 
 class TestNonFiniteMeasurement:
@@ -567,11 +619,56 @@ class TestNonFiniteMeasurement:
         bank = initial_bank(model)
         pred = JointBelief(bank.xi_means[0], bank.xi_covs[0])
         with pytest.raises(ContractError, match="non-finite"):
-            newton_update(pred, bad_y, model.map, model.R)
+            newton_update(pred, bad_y, model)
         with pytest.raises(ContractError, match="non-finite"):
-            log_likelihood(pred, bad_y, model.map, model.R)
+            log_likelihood(pred, bad_y, model)
         with pytest.raises(ContractError, match="non-finite"):
             ekf_step(np.zeros(model.n), model.P0, bad_y, model)
+
+    def test_stacked_ekf_rejects(self, bad_y, tracking_scenario):
+        # the stacked mode (R runs) checks its (R, p) measurements as the single mode does
+        model = tracking_scenario.model
+        means, covs = np.zeros((2, model.n)), np.stack([model.P0] * 2)
+        good_y = model.map.evaluate(tracking_scenario.x0_truth)
+        with pytest.raises(ContractError, match="non-finite"):
+            ekf_step(means, covs, np.stack([good_y, bad_y]), model)
+        with pytest.raises(ContractError, match=r"shape \(2, 3\), got \(2, 2\)"):
+            ekf_step(means, covs, np.stack([good_y, good_y])[:, :2], model)
+
+
+class TestNonFiniteEvidence:
+    """A map that gives NaN at a predicted mean is a numerical failure naming the
+    hypothesis and the step, not zero evidence; NaN at a line-search trial point
+    is backtracked past."""
+
+    @staticmethod
+    def nan_beyond(model, x0_max):
+        real = model.map.evaluate
+        mmap = dataclasses.replace(model.map, evaluate=lambda x: np.where(
+            np.asarray(x)[..., :1] > x0_max, np.nan, real(x)))
+        return dataclasses.replace(model, map=mmap)
+
+    def test_step_names_hypothesis_and_step(self, tracking_scenario):
+        model = self.nan_beyond(tracking_scenario.model, 4.9)
+        start = initial_bank(model)
+        means = start.xi_means.copy()
+        means[0, 1] = 5.0  # hypothesis 0 predicts x0 = 5
+        bank = HypothesisBank(means, start.xi_covs, start.weights)
+        y = tracking_scenario.model.map.evaluate(tracking_scenario.x0_truth)
+        with pytest.raises(NumericalFailureError, match="log-likelihood") as info:
+            ssue_step(bank, y, model, step=9)
+        assert info.value.context == {"hypothesis": 0, "step": 9}
+
+    def test_batch_ends_only_the_failing_run(self, tracking_scenario):
+        clean = dataclasses.replace(tracking_scenario, steps=40)
+        scenarios = [clean, dataclasses.replace(clean, x0_truth=[-5.0, 5.0, 1.0, -0.5])]
+        records = [simulate(s) for s in scenarios]  # measured without the NaN region
+        model = self.nan_beyond(clean.model, 4.0)
+        failed, finished = estimate_batch(
+            [dataclasses.replace(s, model=model) for s in scenarios], records)
+        assert isinstance(failed, NumericalFailureError)
+        assert set(failed.context) == {"hypothesis", "step"}
+        assert finished.mu.shape == (40, 3) and np.isfinite(finished.log_lambdas).all()
 
 
 class TestInitialBank:

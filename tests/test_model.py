@@ -133,7 +133,6 @@ class TestLocationTypes:
             UncertaintyDomain(((0.0, np.inf),))
         d = UncertaintyDomain(((-0.2, -0.1), (0.1, 0.3)))
         assert d.hull() == (-0.2, 0.3)
-        assert d.contains(-0.15) and not d.contains(0.0)
 
 
 class TestModelCovariances:
