@@ -1,16 +1,16 @@
 """Gaussian beliefs over the augmented vector [delta; x] and their fusion.
 
 Each hypothesis (one candidate location matrix) carries a joint Gaussian over
-the perturbation and the state, stored as a stacked mean and a joint
-covariance.  A bank holds these as one row per hypothesis of stacked arrays,
-plus the posterior location probabilities: the full filter state.  Banks are
-collapsed to a single moment-matched Gaussian (a :class:`JointBelief`) for
-reporting.
+the perturbation and the state.  A bank holds these as one row per hypothesis
+of stacked arrays, means and square-root factors S of the joint covariances
+(S S^T = P, derived for readers), plus the posterior location probabilities:
+the full filter state.  Banks are collapsed to a single moment-matched
+Gaussian (a :class:`JointBelief`, which holds a covariance) for reporting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,23 +118,31 @@ class JointBelief:
 @dataclass(frozen=True)
 class HypothesisBank:
     """The filter state: one joint Gaussian over [delta; x] per candidate location,
-    stacked as means ``xi_means`` (M, n+1) and covariances ``xi_covs`` (M, n+1, n+1),
-    plus the posterior location probabilities ``weights`` (M,).  All three are
-    read-only copies of the inputs."""
+    stacked as means ``xi_means`` (M, n+1) and square covariance factors
+    ``xi_factors`` (M, n+1, n+1), plus the posterior location probabilities
+    ``weights`` (M,).  All three are read-only copies of the inputs; the read-only
+    covariances ``xi_covs`` = S S^T are derived and checked as a belief's are."""
 
     xi_means: np.ndarray
-    xi_covs: np.ndarray
+    xi_factors: np.ndarray
     weights: np.ndarray
+    xi_covs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        means, covs = _joint_rows(self.xi_means, self.xi_covs)
+        S = np.array(self.xi_factors, dtype=float)
+        if S.ndim != 3 or S.shape[1] != S.shape[2]:
+            raise ContractError(f"bank factors must be square matrices (M, n+1, n+1), "
+                                f"got shape {S.shape}")
+        means, covs = _joint_rows(self.xi_means, S @ np.swapaxes(S, -1, -2))
         w = np.array(self.weights, dtype=float)
         if w.shape != means.shape[:1]:
             raise ContractError(f"{means.shape[0]} hypotheses but weights of shape {w.shape}")
         if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ContractError(f"weights must be nonnegative and sum to 1, got {w}")
+        S.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "xi_means", means)
+        object.__setattr__(self, "xi_factors", S)
         object.__setattr__(self, "xi_covs", covs)
         object.__setattr__(self, "weights", w)
 

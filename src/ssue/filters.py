@@ -14,6 +14,10 @@ finished row takes a zero step and keeps its iterate; a large batch drops its
 finished rows once they are half the set.  Rows never mix, so a run's numbers
 are bit-identical alone or in a batch.
 
+Between steps each row's covariance is the square-root factor S (S S^T = P)
+that the bank stores, so no step factors its input; the per-belief functions
+take covariances and factor them on entry.
+
 Likelihoods are handled in log domain throughout.
 """
 
@@ -64,14 +68,15 @@ class StepResult:
 
 def initial_bank(model: SystemModel) -> HypothesisBank:
     """Uniform-weight bank: delta at the domain hull midpoint with the hull
-    half-width as standard deviation, state at zero with covariance P0."""
+    half-width as standard deviation, state at zero with covariance P0; the
+    factor is block diagonal, [max(half-width, 1e-6)] and ``model.P0_factor``."""
     lo, hi = model.domain.hull()
     half = 0.5 * (hi - lo)
-    xi_cov = np.zeros((model.n + 1, model.n + 1))
-    xi_cov[0, 0] = max(half * half, 1e-12)
-    xi_cov[1:, 1:] = model.P0
+    xi_factor = np.zeros((model.n + 1, model.n + 1))
+    xi_factor[0, 0] = max(half, 1e-6)
+    xi_factor[1:, 1:] = model.P0_factor
     xi_mean = np.concatenate(([0.5 * (lo + hi)], np.zeros(model.n)))
-    return HypothesisBank(np.tile(xi_mean, (model.M, 1)), np.tile(xi_cov, (model.M, 1, 1)),
+    return HypothesisBank(np.tile(xi_mean, (model.M, 1)), np.tile(xi_factor, (model.M, 1, 1)),
                           np.full(model.M, 1.0 / model.M))
 
 
@@ -112,6 +117,19 @@ def _map_call(fn, X: np.ndarray, tail: tuple, name: str) -> np.ndarray:
         raise ContractError(f"measurement map {name} returned shape {out.shape}, "
                             f"not {X.shape[:-1] + tail}")
     return out
+
+
+def _jacobian(measurement_map, X: np.ndarray, p: int, rows=slice(None)) -> np.ndarray:
+    """The map's Jacobian at states X (B, n) the update keeps (predicted means and accepted
+    iterates, never a line-search trial point); a non-finite one is a numerical failure
+    naming its row, through ``rows`` for a working set, as ``hypothesis``."""
+    C = _map_call(measurement_map.jacobian, X, (p, X.shape[-1]), "jacobian")
+    if not np.isfinite(C).all():
+        bad = np.flatnonzero(~np.isfinite(C).all(axis=(-2, -1)))[0]
+        row = bad if isinstance(rows, slice) else rows[bad]
+        raise NumericalFailureError(f"measurement Jacobian is not finite at state {X[bad]}",
+                                    context={"hypothesis": int(row)})
+    return C
 
 
 def _qr_root(top, bottom):
@@ -158,7 +176,7 @@ def _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     by the matrix determinant lemma log det Sigma = log det R + log det(I + G^T G), and by
     Woodbury's identity nu^T Sigma^{-1} nu = ||r - G d||^2 + ||d||^2 for round 0's step d."""
     x, p = xi_pred[:, 1:], y.shape[-1]
-    C = _map_call(measurement_map.jacobian, x, (p, x.shape[-1]), "jacobian")
+    C = _jacobian(measurement_map, x, p)
     r = _mv(LR_inv, y - _map_call(measurement_map.evaluate, x, (p,), "evaluate"))
     G = LR_inv @ C @ S_pred[:, 1:]
     g, N, d = _gauss_newton(G, np.zeros_like(xi_pred), r, np.eye(xi_pred.shape[-1]))
@@ -215,7 +233,7 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
         done |= search | small
         if not moved.any():
             break
-        C = _map_call(measurement_map.jacobian, xi[:, 1:], (p, n1 - 1), "jacobian")
+        C = _jacobian(measurement_map, xi[:, 1:], p, rows)
         G = LR_inv @ C @ S[:, 1:]  # at every row's iterate, for the next round or the posterior
         finished = np.count_nonzero(done)
         if finished == done.size:
@@ -227,23 +245,21 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     xi_out[rows], G_out[rows] = xi, G
     # U^T U = G^T G + I is the posterior information in u, so S_pred U^{-1} is the posterior factor
     S_post = S_pred @ np.linalg.inv(_qr_root(G_out, eye))
-    P_post = symmetrize(S_post @ np.swapaxes(S_post, -1, -2))
-    return ll, xi_out, P_post, (iterations, costs, converged)
+    return ll, xi_out, S_post, (iterations, costs, converged)
 
 
-def _step_rows(xi, P, mu, y, model: SystemModel):
+def _step_rows(xi, S, mu, y, model: SystemModel):
     """The stacked kernel: one filter step of R runs of one model, from means
-    (R, M, n+1), covariances (R, M, n+1, n+1), weights (R, M), measurements
-    (R, p), to posterior rows, weights, log likelihoods, fused means,
-    identified indices and the :func:`_update_rows` report rows.  In between, each
-    row's covariance is carried as a factor S (S S^T = P), so it stays PSD by construction."""
+    (R, M, n+1), covariance factors S (R, M, n+1, n+1) with S S^T = P, weights
+    (R, M), measurements (R, p), to posterior means and factors, weights, log
+    likelihoods, fused means, identified indices and the :func:`_update_rows`
+    report rows.  Every covariance stays PSD by construction."""
     (R_runs, M), n1 = mu.shape, xi.shape[-1]
     LR_inv = _r_whitener(model)
     Y = np.repeat(y, M, axis=0)
     try:
-        S = psd_factor(P.reshape(-1, n1, n1), "joint covariance").reshape(P.shape)
         xi_pred, S_pred = _predict_rows(xi, S, model.locations.entries, model.A, model.Q_factor)
-        ll, xi_post, P_post, rows = _update_rows(xi_pred.reshape(-1, n1),
+        ll, xi_post, S_post, rows = _update_rows(xi_pred.reshape(-1, n1),
                                                  S_pred.reshape(-1, n1, n1), Y, model.map,
                                                  model.R_factor, LR_inv)
     except NumericalFailureError as exc:
@@ -252,7 +268,7 @@ def _step_rows(xi, P, mu, y, model: SystemModel):
         raise
     ll, xi_post = ll.reshape(R_runs, M), xi_post.reshape(xi.shape)
     mu_new = update_weights_log(mu, ll)
-    return (xi_post, P_post.reshape(P.shape), mu_new, ll,
+    return (xi_post, S_post.reshape(S.shape), mu_new, ll,
             (mu_new[:, None, :] @ xi_post)[:, 0], mu_new.argmax(axis=-1), rows)
 
 
@@ -277,7 +293,7 @@ def predict(belief: JointBelief, model: SystemModel, i: int) -> JointBelief:
         raise ContractError(f"location index {i} is not one of the model's {model.M}")
     xi, S = _one_row(belief, model, "joint covariance")
     xi, S_pred = _predict_rows(xi, S, model.locations.entries[i][None], model.A, model.Q_factor)
-    P = symmetrize(S_pred[0] @ S_pred[0].T)
+    P = S_pred[0] @ S_pred[0].T
     P[0, 0] = belief.p_delta  # exact: delta has no process noise, and sqrt(p)^2 need not be p
     return JointBelief(xi[0], P)
 
@@ -306,8 +322,8 @@ def newton_update(pred: JointBelief, y: np.ndarray,
     """
     y = _measurements(y, (model.p,))[None]
     xi, S_pred = _one_row(pred, model, "predicted joint covariance")
-    _, xi, P, rows = _update_rows(xi, S_pred, y, model.map, model.R_factor, _r_whitener(model))
-    return JointBelief(xi[0], P[0]), _reports(*rows)[0]
+    _, xi, S, rows = _update_rows(xi, S_pred, y, model.map, model.R_factor, _r_whitener(model))
+    return JointBelief(xi[0], S[0] @ S[0].T), _reports(*rows)[0]
 
 
 def log_likelihood(pred: JointBelief, y: np.ndarray, model: SystemModel) -> float:
@@ -363,13 +379,13 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
         if bank.xi_means.shape[1] != model.n + 1:
             raise ContractError(f"bank beliefs differ from the model's state dimension {model.n}")
         y = _measurements(y, (model.p,))
-        xi, P, mu, ll, _, identified, rows = _step_rows(
-            bank.xi_means[None], bank.xi_covs[None], bank.weights[None], y[None], model)
+        xi, S, mu, ll, _, identified, rows = _step_rows(
+            bank.xi_means[None], bank.xi_factors[None], bank.weights[None], y[None], model)
     except (ContractError, NumericalFailureError) as exc:
         if step is not None:
             exc.context.setdefault("step", step)
         raise
-    new_bank = HypothesisBank(xi[0], P[0], mu[0])
+    new_bank = HypothesisBank(xi[0], S[0], mu[0])
     return StepResult(new_bank, fuse(new_bank), int(identified[0]), ll[0], _reports(*rows))
 
 
@@ -377,12 +393,15 @@ def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """Extended Kalman filter step on the nominal model (perturbation ignored).
 
     Also steps R runs at once: means (R, n), covariances (R, n, n), measurements (R, p).
+    A Jacobian that is not finite at the predicted mean is a :class:`NumericalFailureError`.
     """
     mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     y = _measurements(y, mean.shape[:-1] + (model.p,))
     m_pred = _mv(model.A, mean)
     P_pred = symmetrize(model.A @ cov @ model.A.T + model.Q)
     C = _map_call(model.map.jacobian, m_pred, (model.p, model.n), "jacobian")
+    if not np.isfinite(C).all():
+        raise NumericalFailureError("EKF measurement Jacobian is not finite at the predicted mean")
     LS_inv = np.linalg.inv(psd_factor(C @ P_pred @ np.swapaxes(C, -1, -2) + model.R,
                                       "EKF innovation covariance"))
     K = P_pred @ np.swapaxes(LS_inv @ C, -1, -2) @ LS_inv

@@ -217,8 +217,8 @@ class SystemModel:
     time-invariant.  ``Q``, ``R`` and ``P0`` must be symmetric and positive
     semidefinite (:func:`~ssue.belief.psd_factor`); a consumer that needs more
     checks that itself (the filter needs a positive definite ``R``).  The
-    factors ``Q_factor`` and ``R_factor`` (``F F^T = Q``, ``R``) are the
-    ones :func:`~ssue.belief.psd_factor` returns, computed once here, and
+    factors ``Q_factor``, ``R_factor`` and ``P0_factor`` (``F F^T = Q``, ``R``,
+    ``P0``) are the ones :func:`~ssue.belief.psd_factor` returns, computed once here, and
     ``R_whitener`` is ``R_factor^{-1}`` (R^{-1/2}), or None when ``R`` is
     not positive definite.
     """
@@ -233,6 +233,7 @@ class SystemModel:
     measurement_spec: Optional[dict] = field(default=None, compare=False)
     Q_factor: np.ndarray = field(init=False, repr=False, compare=False)
     R_factor: np.ndarray = field(init=False, repr=False, compare=False)
+    P0_factor: np.ndarray = field(init=False, repr=False, compare=False)
     R_whitener: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -265,7 +266,7 @@ class SystemModel:
         if (LR.diagonal() > 0.0).all() and not np.triu(LR, 1).any():
             whitener = np.linalg.inv(LR)
             whitener.setflags(write=False)
-        for m in (A, Q, R, P0, factors["Q"], LR):
+        for m in (A, Q, R, P0, *factors.values()):
             m.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "Q", Q)
@@ -273,6 +274,7 @@ class SystemModel:
         object.__setattr__(self, "P0", P0)
         object.__setattr__(self, "Q_factor", factors["Q"])
         object.__setattr__(self, "R_factor", LR)
+        object.__setattr__(self, "P0_factor", factors["P0"])
         object.__setattr__(self, "R_whitener", whitener)
 
     @property

@@ -248,13 +248,13 @@ def estimate_batch(scenarios, records=None) -> list:
                             context={"step": int(np.argwhere(~np.isfinite(Y))[0, 1])})
     runs, steps = Y.shape[:2]
     bank = initial_bank(model)
-    state = [np.repeat(a[None], runs, 0) for a in (bank.xi_means, bank.xi_covs, bank.weights)]
+    state = [np.repeat(a[None], runs, 0) for a in (bank.xi_means, bank.xi_factors, bank.weights)]
     state += [np.zeros((runs, model.n)), np.repeat(model.P0[None], runs, 0)]  # the EKF's
     out = {}
 
     def advance(live, k):
         try:
-            xi, P, mu, ll, fused, identified, _ = _step_rows(
+            xi, S, mu, ll, fused, identified, _ = _step_rows(
                 *(a[live] for a in state[:3]), Y[live, k], model)
             ekf = ekf_step(state[3][live], state[4][live], Y[live, k], model)
         except NumericalFailureError as exc:
@@ -263,7 +263,7 @@ def estimate_batch(scenarios, records=None) -> list:
             exc.context.setdefault("step", k)
             outcomes[batch[live[0]]] = exc
             return live[:0]
-        for a, value in zip(state, (xi, P, mu) + ekf):
+        for a, value in zip(state, (xi, S, mu) + ekf):
             a[live] = value
         for name, v in zip(("mu", "log_lambdas", "fused_means", "identified", "ekf_means"),
                            (mu, ll, fused, identified, ekf[0])):

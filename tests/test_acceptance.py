@@ -33,6 +33,7 @@ from ssue import (
     stack_observability,
     tracking_preset,
 )
+from ssue.belief import psd_factor
 
 
 def report(number, ok, detail):
@@ -144,7 +145,7 @@ def test_criterion_3_fusion_moments():
             covs.append(W @ W.T + 2 * np.eye(4))
         w = rng.uniform(0.5, 2.0, m_comp)
         w = w / w.sum()
-        bank = HypothesisBank(np.stack(means), np.stack(covs), weights=w)
+        bank = HypothesisBank(np.stack(means), psd_factor(np.stack(covs)), weights=w)
         fused = fuse(bank)
         mean_ref, cov_ref = exact_moments(means, covs, w)
         exact_ok &= bool(np.max(np.abs(fused.xi_mean - mean_ref)) <= 1e-12)
@@ -157,7 +158,7 @@ def test_criterion_3_fusion_moments():
         W = rng.normal(size=(3, 3))
         covs.append(scale * (W @ W.T + np.eye(3)))
     w = np.array([0.3, 0.7])
-    bank = HypothesisBank(np.stack(means), np.stack(covs), weights=w)
+    bank = HypothesisBank(np.stack(means), psd_factor(np.stack(covs)), weights=w)
     fused = fuse(bank)
     n_samples = 1_000_000
     counts = rng.multinomial(n_samples, w)

@@ -14,7 +14,7 @@ from ssue import (
     ssue_step,
     tracking_preset,
 )
-from ssue.belief import PSD_REL_TOL, psd_factor
+from ssue.belief import PSD_REL_TOL, psd_factor, symmetrize
 
 
 def make_belief(delta=0.0, x=(0.0,), p_delta=1.0, p_dx=None, p_x=None):
@@ -27,8 +27,8 @@ def make_belief(delta=0.0, x=(0.0,), p_delta=1.0, p_dx=None, p_x=None):
 
 
 def bank_of(belief, M):
-    """The stacked means and covariances of M copies of one belief."""
-    return np.stack([belief.xi_mean] * M), np.stack([belief.xi_cov] * M)
+    """The stacked means and covariance factors of M copies of one belief."""
+    return np.stack([belief.xi_mean] * M), psd_factor(np.stack([belief.xi_cov] * M))
 
 
 def mixture_moments(means, covs, weights):
@@ -75,7 +75,8 @@ class TestFuse:
         bank = HypothesisBank(*bank_of(b, 1), weights=np.array([1.0]))
         fused = fuse(bank)
         npt.assert_array_equal(fused.xi_mean, b.xi_mean)
-        npt.assert_array_equal(fused.xi_cov, b.xi_cov)
+        npt.assert_array_equal(fused.xi_cov, bank.xi_covs[0])
+        npt.assert_allclose(fused.xi_cov, b.xi_cov, rtol=1e-15, atol=0)
 
     def test_identical_components_zero_spread(self):
         b = make_belief(delta=0.2, x=(1.0,), p_x=[[4.0]])
@@ -89,7 +90,8 @@ class TestFuse:
         # mixture mean 1, variance 1 + 1 = 2
         b1 = make_belief(delta=0.0, x=(), p_delta=1.0, p_dx=[], p_x=np.zeros((0, 0)))
         b2 = make_belief(delta=2.0, x=(), p_delta=1.0, p_dx=[], p_x=np.zeros((0, 0)))
-        bank = HypothesisBank(np.stack([b1.xi_mean, b2.xi_mean]), np.stack([b1.xi_cov, b2.xi_cov]),
+        bank = HypothesisBank(np.stack([b1.xi_mean, b2.xi_mean]),
+                              psd_factor(np.stack([b1.xi_cov, b2.xi_cov])),
                               weights=np.array([0.5, 0.5]))
         fused = fuse(bank)
         npt.assert_allclose(fused.xi_mean, [1.0], atol=1e-15)
@@ -102,11 +104,11 @@ class TestFuse:
             for _ in range(3)
         )
         bank = HypothesisBank(np.stack([b.xi_mean for b in beliefs]),
-                              np.stack([b.xi_cov for b in beliefs]),
+                              psd_factor(np.stack([b.xi_cov for b in beliefs])),
                               weights=np.array([0.0, 1.0, 0.0]))
         fused = fuse(bank)
         npt.assert_array_equal(fused.xi_mean, beliefs[1].xi_mean)
-        npt.assert_array_equal(fused.xi_cov, beliefs[1].xi_cov)
+        npt.assert_array_equal(fused.xi_cov, bank.xi_covs[1])
 
     def test_matches_exact_mixture_moment_oracle(self, rng):
         beliefs = []
@@ -116,7 +118,7 @@ class TestFuse:
         w = rng.uniform(0.5, 2.0, 3)
         w = w / w.sum()
         bank = HypothesisBank(np.stack([b.xi_mean for b in beliefs]),
-                              np.stack([b.xi_cov for b in beliefs]), weights=w)
+                              psd_factor(np.stack([b.xi_cov for b in beliefs])), weights=w)
         fused = fuse(bank)
         mean, cov = mixture_moments([b.xi_mean for b in beliefs],
                                     [b.xi_cov for b in beliefs], w)
@@ -131,7 +133,7 @@ class TestFuse:
             W = rng.normal(size=(3, 3))
             covs.append(scale * (W @ W.T + np.eye(3)))
         w = np.array([0.3, 0.7])
-        bank = HypothesisBank(np.stack(means), np.stack(covs), weights=w)
+        bank = HypothesisBank(np.stack(means), psd_factor(np.stack(covs)), weights=w)
         fused = fuse(bank)
 
         n_samples = 1_000_000
@@ -172,7 +174,7 @@ class TestIdentifyLocation:
         twins = SystemModel(A=model.A, locations=twin_set, domain=model.domain,
                             Q=model.Q, R=model.R, P0=model.P0, map=model.map)
         start = initial_bank(twins)
-        bank = HypothesisBank(start.xi_means, start.xi_covs, np.asarray(weights))
+        bank = HypothesisBank(start.xi_means, start.xi_factors, np.asarray(weights))
         result = ssue_step(bank, model.map.evaluate(np.ones(model.n)), twins)
         assert np.all(result.log_lambdas == result.log_lambdas[0])
         npt.assert_allclose(result.bank.weights, weights, rtol=1e-14)
@@ -287,54 +289,62 @@ class TestPsdFactor:
 
 class TestHypothesisBankContract:
     """The bank holds validated, read-only copies of stacked means (M, n+1),
-    covariances (M, n+1, n+1) and weights (M,)."""
+    covariance factors (M, n+1, n+1) and weights (M,), and the covariances
+    S S^T derived from the factors."""
 
     @staticmethod
     def rows(M=3, n1=3):
         means = np.arange(M * n1, dtype=float).reshape(M, n1)
-        return means, np.stack([_spd(n1, seed=i) for i in range(M)]), np.full(M, 1.0 / M)
+        factors = psd_factor(np.stack([_spd(n1, seed=i) for i in range(M)]))
+        return means, factors, np.full(M, 1.0 / M)
 
-    @pytest.mark.parametrize("case", ["means_1d", "means_3d", "covs_short", "covs_not_square",
-                                      "weights_short", "weights_2d"])
+    @pytest.mark.parametrize("case", ["means_1d", "means_3d", "factors_short",
+                                      "factors_not_square", "weights_short", "weights_2d"])
     def test_shape_mismatch_is_contract_error(self, case):
-        means, covs, w = self.rows()
-        means, covs, w = {
-            "means_1d": (means[0], covs, w),
-            "means_3d": (means[None], covs, w),
-            "covs_short": (means, covs[:2], w),
-            "covs_not_square": (means, covs[:, :, :2], w),
-            "weights_short": (means, covs, np.full(2, 0.5)),
-            "weights_2d": (means, covs, w[None]),
+        means, factors, w = self.rows()
+        means, factors, w = {
+            "means_1d": (means[0], factors, w),
+            "means_3d": (means[None], factors, w),
+            "factors_short": (means, factors[:2], w),
+            "factors_not_square": (means, factors[:, :, :2], w),
+            "weights_short": (means, factors, np.full(2, 0.5)),
+            "weights_2d": (means, factors, w[None]),
         }[case]
         with pytest.raises(ContractError):
-            HypothesisBank(means, covs, w)
+            HypothesisBank(means, factors, w)
 
-    @pytest.mark.parametrize("entry", ["means", "covs", "weights"])
+    @pytest.mark.parametrize("entry", ["means", "factors", "weights"])
     def test_non_finite_entry_is_contract_error(self, entry):
-        arrays = dict(zip(("means", "covs", "weights"), self.rows()))
+        arrays = dict(zip(("means", "factors", "weights"), self.rows()))
         arrays[entry].reshape(-1)[1] = np.nan
         with pytest.raises(ContractError, match="non-finite|sum to 1"):
             HypothesisBank(*arrays.values())
 
-    @pytest.mark.parametrize("p_delta", [0.0, -1.0])
-    def test_nonpositive_p_delta_names_its_row(self, p_delta):
-        means, covs, w = self.rows()
-        covs[2, 0, 0] = p_delta
+    def test_zero_p_delta_names_its_row(self):
+        means, factors, w = self.rows()
+        factors[2, 0] = 0.0  # a zero first factor row: p_delta = 0
         with pytest.raises(ContractError, match=r"\(row 2\)") as info:
-            HypothesisBank(means, covs, w)
+            HypothesisBank(means, factors, w)
         assert info.value.context["hypothesis"] == 2
 
-    @pytest.mark.parametrize("attr", ["xi_means", "xi_covs", "weights"])
+    def test_covariances_are_derived_from_the_factors(self, rng):
+        means, _, w = self.rows()
+        factors = rng.normal(size=(3, 3, 3))  # any square factor, not only a triangular one
+        bank = HypothesisBank(means, factors, w)
+        npt.assert_array_equal(bank.xi_covs, symmetrize(factors @ np.swapaxes(factors, -1, -2)))
+
+    @pytest.mark.parametrize("attr", ["xi_means", "xi_factors", "xi_covs", "weights"])
     def test_arrays_are_read_only(self, attr):
         bank = HypothesisBank(*self.rows())
         with pytest.raises(ValueError):
             getattr(bank, attr)[0] = 0.0
 
     def test_no_aliasing_of_caller_arrays(self):
-        means, covs, w = self.rows()
-        bank = HypothesisBank(means, covs, w)
-        kept = [a.copy() for a in (bank.xi_means, bank.xi_covs, bank.weights)]
-        for a in (means, covs, w):
+        means, factors, w = self.rows()
+        bank = HypothesisBank(means, factors, w)
+        fields = ("xi_means", "xi_factors", "xi_covs", "weights")
+        kept = [getattr(bank, f).copy() for f in fields]
+        for a in (means, factors, w):
             a[...] = 0.0
-        for got, want in zip((bank.xi_means, bank.xi_covs, bank.weights), kept):
-            npt.assert_array_equal(got, want)
+        for f, want in zip(fields, kept):
+            npt.assert_array_equal(getattr(bank, f), want)

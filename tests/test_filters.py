@@ -31,6 +31,7 @@ from ssue import (
     tracking_preset,
     update_weights_log,
 )
+from ssue.belief import psd_factor
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -336,7 +337,8 @@ class TestSsueStep:
 
     def test_matches_the_one_row_functions(self, tracking_scenario):
         # each hypothesis of a step is predict -> log_likelihood -> newton_update under
-        # the same model, up to the re-factoring of the predicted covariance
+        # the same model, up to rounding: they factor each belief's covariance, where the
+        # step carries the bank's factor
         model = tracking_scenario.model
         bank = initial_bank(model)
         for y in simulate(tracking_scenario).measurements[:60]:
@@ -363,7 +365,8 @@ class TestSsueStep:
         model = tracking_scenario.model
         small = JointBelief(np.zeros(4), np.eye(4))  # n = 3 on the 4-state preset
         bank = HypothesisBank(np.stack([small.xi_mean] * model.M),
-                              np.stack([small.xi_cov] * model.M), np.full(model.M, 1.0 / model.M))
+                              psd_factor(np.stack([small.xi_cov] * model.M)),
+                              np.full(model.M, 1.0 / model.M))
         with pytest.raises(ContractError, match="state dimension") as info:
             ssue_step(bank, np.zeros(model.p), model, step=2)
         assert info.value.context["step"] == 2
@@ -456,8 +459,8 @@ class TestMapCalls:
 
 
 class TestFactorCalls:
-    """The step path factors with Cholesky and QR only: no eigenvalue check or
-    eigh factor on a well-posed model."""
+    """The filter paths make no eigenvalue check or eigh factor on a well-posed model:
+    the SSUE step factors with QR only, and the EKF with Cholesky."""
 
     def test_step_paths_make_no_eigen_calls(self, monkeypatch, rng):
         calls = []
@@ -475,17 +478,24 @@ class TestFactorCalls:
 
 
 class TestLinalgCalls:
-    """The stacked factorizations of one step: a Cholesky of the incoming
-    covariances, a QR each for the prediction and the posterior, one solve per
-    Gauss-Newton round, the log-determinant of round 0's normal matrix for the
-    likelihood and one inverse of the posterior root.  The likelihood needs no
-    factorization of the innovation covariance of its own."""
+    """The stacked factorizations of one step: a QR each for the prediction and the
+    posterior, one solve per Gauss-Newton round, the log-determinant of round 0's
+    normal matrix for the likelihood and one inverse of the posterior root.  The
+    step takes the bank's factors as they are, so it factors no covariance, not
+    even a singular one, and the likelihood needs no factorization of the
+    innovation covariance of its own."""
 
-    @pytest.mark.parametrize("max_iterations", [1, 2, 4])
-    def test_step_linalg_call_budget(self, rng, monkeypatch, tracking_scenario, max_iterations):
+    @pytest.mark.parametrize("max_iterations, preset", [
+        pytest.param(1, {}, id="1"),
+        pytest.param(2, {}, id="2"),
+        pytest.param(4, {}, id="4"),
+        pytest.param(2, {"q": 0.0, "P0": np.diag([25.0, 25.0, 0.0, 0.0])}, id="singular_P0_q0-2"),
+    ])
+    def test_step_linalg_call_budget(self, rng, monkeypatch, max_iterations, preset):
         monkeypatch.setattr(filters, "MAX_ITERATIONS", max_iterations)
-        model = tracking_scenario.model
-        bank, y = initial_bank(model), model.map.evaluate(rng.normal(size=4) * 3)
+        model = tracking_preset(seed=1000, **preset).model
+        y = model.map.evaluate(rng.normal(size=(2, 4)) * 3)
+        bank = ssue_step(initial_bank(model), y[0], model).bank  # a step's output is the input
         calls = collections.Counter()
         for name in np.linalg.__all__:
             fn = getattr(np.linalg, name)
@@ -494,9 +504,9 @@ class TestLinalgCalls:
                     calls[_name] += 1
                     return _real(*args, **kwargs)
                 monkeypatch.setattr(np.linalg, name, counted)
-        result = ssue_step(bank, y, model)
+        result = ssue_step(bank, y[1], model)
         assert all(r.iterations_used == max_iterations for r in result.reports)
-        assert calls == {"cholesky": 1, "qr": 2, "solve": max_iterations, "slogdet": 1, "inv": 1}
+        assert calls == {"qr": 2, "solve": max_iterations, "slogdet": 1, "inv": 1}
 
 
 class TestFrozenRows:
@@ -507,7 +517,7 @@ class TestFrozenRows:
     def test_row_done_in_round_one_equals_it_stepped_alone(self, tracking_scenario):
         model = tracking_scenario.model
         xi = np.array([-0.105, 5.0, 5.0, 1.0, -0.5])
-        bank = HypothesisBank(np.tile(xi, (3, 1)), initial_bank(model).xi_covs, np.full(3, 1 / 3))
+        bank = HypothesisBank(np.tile(xi, (3, 1)), initial_bank(model).xi_factors, np.full(3, 1 / 3))
         # a measurement that the first location's prediction explains to within 1e-7,
         # so that row's first step is small enough to be its last, but not zero
         pred = predict(JointBelief(xi, bank.xi_covs[0]), model, 0)
@@ -519,10 +529,10 @@ class TestFrozenRows:
         assert all(len(r.cost_trajectory) == r.iterations_used + 1 for r in result.reports)
 
         alone_model = dataclasses.replace(model, locations=LocationSet(model.locations[:1]))
-        alone = ssue_step(HypothesisBank(bank.xi_means[:1], bank.xi_covs[:1], [1.0]), y,
+        alone = ssue_step(HypothesisBank(bank.xi_means[:1], bank.xi_factors[:1], [1.0]), y,
                           alone_model)
         npt.assert_array_equal(result.bank.xi_means[0], alone.bank.xi_means[0])
-        npt.assert_array_equal(result.bank.xi_covs[0], alone.bank.xi_covs[0])
+        npt.assert_array_equal(result.bank.xi_factors[0], alone.bank.xi_factors[0])
         npt.assert_array_equal(result.log_lambdas[0], alone.log_lambdas[0])
         assert first == alone.reports[0]
 
@@ -554,7 +564,7 @@ class TestFrozenRows:
             for name in ("mu", "log_lambdas", "fused_means", "identified"):
                 npt.assert_array_equal(getattr(rec, name), getattr(rec_c, name))
         npt.assert_array_equal(bank.xi_means, bank_c.xi_means)
-        npt.assert_array_equal(bank.xi_covs, bank_c.xi_covs)
+        npt.assert_array_equal(bank.xi_factors, bank_c.xi_factors)
         assert reports == reports_c
 
 
@@ -653,7 +663,7 @@ class TestNonFiniteEvidence:
         start = initial_bank(model)
         means = start.xi_means.copy()
         means[0, 1] = 5.0  # hypothesis 0 predicts x0 = 5
-        bank = HypothesisBank(means, start.xi_covs, start.weights)
+        bank = HypothesisBank(means, start.xi_factors, start.weights)
         y = tracking_scenario.model.map.evaluate(tracking_scenario.x0_truth)
         with pytest.raises(NumericalFailureError, match="log-likelihood") as info:
             ssue_step(bank, y, model, step=9)
@@ -669,6 +679,64 @@ class TestNonFiniteEvidence:
         assert isinstance(failed, NumericalFailureError)
         assert set(failed.context) == {"hypothesis", "step"}
         assert finished.mu.shape == (40, 3) and np.isfinite(finished.log_lambdas).all()
+
+
+class TestNonFiniteJacobian:
+    """A Jacobian that is not finite at a state the filter keeps (a predicted mean or an
+    accepted Gauss-Newton iterate; the EKF's predicted mean) is a numerical failure at
+    the step where it happens, naming the hypothesis, not NaN rows carried on."""
+
+    @staticmethod
+    def nan_beyond(model, x0_max):
+        real = model.map.jacobian
+        mmap = dataclasses.replace(model.map, jacobian=lambda x: np.where(
+            np.asarray(x)[..., :1, None] > x0_max, np.nan, real(x)))
+        return dataclasses.replace(model, map=mmap)
+
+    @staticmethod
+    def online_failure(scenario, model):
+        bank = initial_bank(model)
+        with pytest.raises(NumericalFailureError, match="Jacobian is not finite") as info:
+            for k, y in enumerate(simulate(scenario).measurements):
+                bank = ssue_step(bank, y, model, step=k).bank
+        return info.value.context
+
+    def test_at_a_predicted_mean(self, tracking_scenario):
+        model = self.nan_beyond(tracking_scenario.model, 4.9)
+        start = initial_bank(model)
+        means = start.xi_means.copy()
+        means[2, 1] = 5.0  # hypothesis 2 predicts x0 = 5
+        bank = HypothesisBank(means, start.xi_factors, start.weights)
+        y = tracking_scenario.model.map.evaluate(tracking_scenario.x0_truth)
+        with pytest.raises(NumericalFailureError, match="Jacobian is not finite") as info:
+            ssue_step(bank, y, model, step=9)
+        assert info.value.context == {"hypothesis": 2, "step": 9}
+
+    def test_at_an_accepted_iterate(self, tracking_scenario):
+        # every predicted mean of step 0 has x0 = 0, so the failure is at an iterate
+        model = self.nan_beyond(tracking_scenario.model, 0.5)
+        assert self.online_failure(tracking_scenario, model) == {"hypothesis": 0, "step": 0}
+
+    def test_batch_names_the_step_and_ends_only_the_failing_run(self, tracking_scenario):
+        clean = dataclasses.replace(tracking_scenario, steps=40)
+        scenarios = [dataclasses.replace(clean, x0_truth=[-5.0, 5.0, 1.0, -0.5]), clean]
+        model = self.nan_beyond(clean.model, 4.0)
+        finished, failed = estimate_batch(
+            [dataclasses.replace(s, model=model) for s in scenarios],
+            [simulate(s) for s in scenarios])
+        assert isinstance(failed, NumericalFailureError)
+        assert failed.context == self.online_failure(clean, model)
+        assert finished.mu.shape == (40, 3) and np.isfinite(finished.log_lambdas).all()
+
+    def test_ekf_step(self, tracking_scenario):
+        model = self.nan_beyond(tracking_scenario.model, 0.5)
+        y = model.map.evaluate(tracking_scenario.x0_truth)
+        means = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])  # predicted x0 0 and 1
+        with pytest.raises(NumericalFailureError, match="EKF measurement Jacobian"):
+            ekf_step(means[1], model.P0, y, model)
+        with pytest.raises(NumericalFailureError, match="EKF measurement Jacobian"):
+            ekf_step(means, np.stack([model.P0] * 2), np.stack([y, y]), model)
+        assert np.isfinite(ekf_step(means[0], model.P0, y, model)[0]).all()
 
 
 class TestInitialBank:
