@@ -55,10 +55,10 @@ def _input_blocks(blocks: np.ndarray) -> np.ndarray:
     return tiles.transpose(0, 1, 3, 2, 4).reshape(N, K1 * p, (K1 - 1) * n)
 
 
-def _stacked_outputs(model: SystemModel, deltas, entries, k: int, x_ref):
+def _stacked_outputs(model: SystemModel, deltas, entries, k: int, x_ref, locs=None):
     """O_k, I_k (both batched over hypotheses), Omega_k, the stacked R and the
     batched Sigma_k, all from one set of stacked powers."""
-    blocks = _stack_blocks(deltas, entries, model.A, linearized_C(model, x_ref), k)
+    blocks = _stack_blocks(deltas, entries, model.A, linearized_C(model, x_ref), k, locs)
     N, _, p, n = blocks.shape
     O = blocks.reshape(N, (k + 1) * p, n)
     I = _input_blocks(blocks)
@@ -117,8 +117,8 @@ def kl_separation(model: SystemModel, grid: DeltaGrid, k: int, x_ref=None) -> np
     tr(Sigma_i^-1 Sigma_t) = <Sigma_i^-1, Sigma_t>_F of all pairs form one
     matrix product; hypotheses with identical Sigma_k read exactly 0.
     """
-    deltas, _, entries = _hypotheses(grid, model.locations)
-    sigmas = _stacked_outputs(model, deltas, entries, k, x_ref)[-1]
+    deltas, locs, entries = _hypotheses(grid, model.locations)
+    sigmas = _stacked_outputs(model, deltas, entries, k, x_ref, locs)[-1]
     N, m, _ = sigmas.shape
     distinct, group = np.unique(sigmas.reshape(N, -1), axis=0, return_inverse=True)
     try:

@@ -198,7 +198,7 @@ def cmd_observability(cfg: dict, args) -> int:
         "max": float(grid.values.max()),
         "resolution": grid.resolution,
     }
-    (out / "observability_report.json").write_text(json.dumps(doc, indent=2))
+    (out / "observability_report.json").write_text(json.dumps(doc))
     if report.smallest_passing_N is None:
         print(f"not observable on the grid at horizon {K}: "
               f"{len(report.failures)} failing pairs (report in {out})", file=sys.stderr)

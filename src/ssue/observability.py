@@ -10,14 +10,16 @@ whole domain.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ContractError, ExcitationError, NoMatchError
+from .errors import ContractError, ExcitationError, NoMatchError, NumericalFailureError
 from .model import LocationMatrix, LocationSet, UncertaintyDomain
 
-_SVD_CHUNK = 8192
+_SVD_CHUNK = 8192  # pairs in memory at once, over all rank-test threads
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ def _rank_cutoff(shape: tuple[int, ...], sigma_max: np.ndarray) -> np.ndarray:
     return max(shape[-2:]) * np.finfo(float).eps * sigma_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairFailure:
     """One hypothesis pair that missed full combined rank at the tested horizon."""
 
@@ -106,21 +108,40 @@ def _hypotheses(grid: DeltaGrid, locations: LocationSet):
     return np.repeat(grid.values, M), locs, locations.entries[locs]
 
 
-def _stack_blocks(deltas, entries, A, C, k: int) -> np.ndarray:
+def _stack_blocks(deltas, entries, A, C, k: int, locs=None) -> np.ndarray:
     """Blocks C (A + delta_q L_q)^j for every hypothesis q and j = 0..k, as an
-    (N, k+1, p, n) array built with k batched matmuls."""
+    (N, k+1, p, n) array built with k batched matmuls.
+
+    Non-finite inputs are a ContractError; a power that overflows is a
+    NumericalFailureError naming the first such hypothesis (its delta, its
+    location index when ``locs`` is given) and the power j.
+    """
     if k < 0:
         raise ContractError("horizon k must be >= 0")
     A = np.asarray(A, dtype=float)
     C = np.atleast_2d(np.asarray(C, dtype=float))
+    deltas = np.asarray(deltas, dtype=float)
     n = A.shape[0]
     if A.shape != (n, n) or C.shape[1] != n or entries.shape[1:] != (n, n):
         raise ContractError("A, C and the location matrix disagree on dimensions")
-    A_pert = A + np.asarray(deltas, dtype=float)[:, None, None] * entries
-    blocks = np.empty((len(A_pert), k + 1, C.shape[0], n))
+    for name, value in (("A", A), ("C", C), ("a location matrix", entries), ("delta", deltas)):
+        if not np.isfinite(value).all():
+            raise ContractError(f"{name} has non-finite entries")
+    blocks = np.empty((len(deltas), k + 1, C.shape[0], n))
     blocks[:, 0] = C
-    for j in range(k):
-        blocks[:, j + 1] = blocks[:, j] @ A_pert
+    with np.errstate(over="ignore", invalid="ignore"):
+        A_pert = A + deltas[:, None, None] * entries
+        for j in range(k):
+            blocks[:, j + 1] = blocks[:, j] @ A_pert
+    if not np.isfinite(blocks).all():
+        finite = np.isfinite(blocks).all(axis=(2, 3))
+        q = int(np.flatnonzero(~finite.all(axis=1))[0])
+        j = int(np.flatnonzero(~finite[q])[0])
+        context = {"delta": float(deltas[q]), "power": j}
+        if locs is not None:
+            context["location"] = int(locs[q])
+        raise NumericalFailureError(
+            f"C (A + delta L)^{j} overflows for the hypothesis {context}", context)
     return blocks
 
 
@@ -130,15 +151,38 @@ def stack_observability(delta: float, loc: LocationMatrix, A, C, k: int) -> np.n
     return blocks.reshape(-1, blocks.shape[-1])
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _pair_ranks(stacks: np.ndarray, ia, ib) -> np.ndarray:
     """Numerical ranks of [stacks[a], stacks[b]] for each pair, via singular
-    values, in chunks of pairs to bound memory."""
+    values.
+
+    The pairs go in chunks to one thread per CPU (numpy's SVD releases the
+    GIL).  Each chunk is _SVD_CHUNK // CPUs pairs, so at most _SVD_CHUNK
+    pairs are in memory at once; every matrix's singular values come from
+    its own LAPACK call, so the ranks do not depend on the chunking.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: ~5 ms of setup
+
+    cpus = _cpu_count()
+    size = max(1, _SVD_CHUNK // cpus)
+    starts = range(0, ia.size, size)
     ranks = np.empty(ia.size, dtype=int)
-    for start in range(0, ia.size, _SVD_CHUNK):
-        part = slice(start, start + _SVD_CHUNK)
+
+    def rank_chunk(start):
+        part = slice(start, start + size)
         X = np.concatenate([stacks[ia[part]], stacks[ib[part]]], axis=2)
         sv = np.linalg.svd(X, compute_uv=False)
         ranks[part] = (sv > _rank_cutoff(X.shape, sv[:, :1])).sum(axis=1)
+
+    with ThreadPoolExecutor(max(1, min(cpus, len(starts)))) as pool:
+        list(pool.map(rank_chunk, starts))  # re-raises a chunk's exception here
     return ranks
 
 
@@ -151,11 +195,17 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid,
     when every pair passes at K is the smallest passing horizon searched,
     k = 1..K-1 ascending, retesting just the pairs that have not passed yet
     (rank is non-decreasing in k).
+
+    Ranks are computed in chunks of pairs on one thread per CPU, with at most
+    ``_SVD_CHUNK`` pairs in memory at once; ranks, failure order and
+    ``smallest_passing_N`` do not depend on the thread count.  Non-finite
+    inputs and overflowing powers raise on the caller's thread before any
+    worker starts.
     """
     if K < 1:
         raise ContractError("horizon K must be >= 1")
     deltas, locs, entries = _hypotheses(grid, locations)
-    full = _stack_blocks(deltas, entries, A, C, K)
+    full = _stack_blocks(deltas, entries, A, C, K, locs)
     N, _, p, n = full.shape
     full = full.reshape(N, (K + 1) * p, n)
     required = 2 * n
@@ -181,11 +231,9 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid,
                 smallest = k
                 break
 
-    failures = tuple(
-        PairFailure(delta_a=float(deltas[a]), loc_a=int(locs[a]), delta_b=float(deltas[b]),
-                    loc_b=int(locs[b]), rank=int(r), required_rank=required)
-        for a, b, r in zip(ia[failing], ib[failing], ranks_at_K[failing])
-    )
+    a, b = ia[failing], ib[failing]
+    failures = tuple(map(PairFailure, deltas[a].tolist(), locs[a].tolist(), deltas[b].tolist(),
+                         locs[b].tolist(), ranks_at_K[failing].tolist(), repeat(required)))
     return ObservabilityReport(horizon_tested=K, smallest_passing_N=smallest,
                                failures=failures, warnings=tuple(warnings))
 
@@ -223,7 +271,7 @@ def reconstruct(Y_star, A, C, locations: LocationSet, grid: DeltaGrid,
     k = Y.size // p - 1
 
     deltas, locs, entries = _hypotheses(grid, locations)
-    O = _stack_blocks(deltas, entries, A, C, k).reshape(deltas.size, Y.size, -1)
+    O = _stack_blocks(deltas, entries, A, C, k, locs).reshape(deltas.size, Y.size, -1)
     # Minimum-norm least squares for every candidate at once, over the
     # singular values that count toward numerical rank.
     U, s, Vt = np.linalg.svd(O, full_matrices=False)

@@ -1,3 +1,7 @@
+import dataclasses
+import threading
+import types
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,11 +13,16 @@ from ssue import (
     LocationMatrix,
     LocationSet,
     NoMatchError,
+    NumericalFailureError,
     UncertaintyDomain,
+    kl_separation,
+    linearized_C,
     pairwise_rank_test,
     reconstruct,
     stack_observability,
+    tracking_preset,
 )
+from ssue import observability
 
 
 def two_state_example():
@@ -27,9 +36,26 @@ def two_state_example():
 
 
 def tracking_matrices():
-    from ssue import tracking_preset
     scn = tracking_preset()
     return scn.model.A, scn.model.locations
+
+
+def generic_matrices():
+    """Acceptance criterion 4's generic stable model: certified at a finite N."""
+    n = 4
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(n, n))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    return A, rng.normal(size=(2, n))
+
+
+def oracle_ranks(A, C, locations, grid, k):
+    """Rank of every pair at horizon k, one np.linalg.matrix_rank call per pair,
+    in the report's order (grid-major hypotheses, pairs (a, b) with a < b)."""
+    hyps = [(d, i) for d in grid.values for i in range(len(locations))]
+    stacks = [stack_observability(d, locations[i], A, C, k) for d, i in hyps]
+    return [(hyps[a], hyps[b], int(np.linalg.matrix_rank(np.hstack([stacks[a], stacks[b]]))))
+            for a in range(len(hyps)) for b in range(a + 1, len(hyps))]
 
 
 class TestDeltaGrid:
@@ -196,6 +222,172 @@ class TestPairwiseRankTest:
             Oa = stack_observability(f.delta_a, locations[f.loc_a], A, C, 1)
             Ob = stack_observability(f.delta_b, locations[f.loc_b], A, C, 1)
             assert f.rank == np.linalg.matrix_rank(np.hstack([Oa, Ob]))
+
+
+# 31 grid points x 3 locations: 93 hypotheses, 4278 pairs
+MANY_POINTS = DeltaGrid(values=np.linspace(-0.2, -0.01, 31))
+
+
+@pytest.fixture(scope="module")
+def preset_case():
+    """The tracking preset's rank-test inputs on MANY_POINTS, with the per-pair
+    oracle at K=10 (every pair fails there, see test_acceptance criterion 4)."""
+    scn = tracking_preset()
+    args = (scn.model.A, linearized_C(scn.model, x_ref=scn.x0_truth),
+            scn.model.locations, MANY_POINTS)
+    return args, oracle_ranks(*args, 10)
+
+
+def split_chunks(monkeypatch, cpus, chunk=1000):
+    """Rank pairs in chunks of chunk // cpus on `cpus` threads."""
+    monkeypatch.setattr(observability, "_SVD_CHUNK", chunk)
+    monkeypatch.setattr(observability, "_cpu_count", lambda: cpus)
+
+
+class TestChunkedRanks:
+    """The pairs are ranked in chunks on one thread per CPU; the report must
+    not depend on the chunking or the thread count."""
+
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3], ids=["platform", "1cpu", "2cpu", "3cpu"])
+    def test_failures_match_per_pair_oracle(self, preset_case, monkeypatch, cpus):
+        if cpus is not None:
+            split_chunks(monkeypatch, cpus)
+        args, oracle = preset_case
+        report = pairwise_rank_test(*args, K=10)
+        assert len(oracle) == 4278 and all(rank < 8 for *_, rank in oracle)
+        got = [((f.delta_a, f.loc_a), (f.delta_b, f.loc_b), f.rank) for f in report.failures]
+        assert got == oracle  # same ranks, same order
+        assert report.smallest_passing_N is None
+
+    @pytest.mark.parametrize("cpus", [None, 3], ids=["platform", "3cpu"])
+    def test_smallest_passing_horizon_matches_oracle(self, monkeypatch, cpus):
+        if cpus is not None:
+            split_chunks(monkeypatch, cpus)
+        A, C = generic_matrices()
+        _, locations = tracking_matrices()
+        report = pairwise_rank_test(A, C, locations, MANY_POINTS, K=10)
+        expected = next(k for k in range(1, 11) if all(
+            rank == 8 for *_, rank in oracle_ranks(A, C, locations, MANY_POINTS, k)))
+        assert report.smallest_passing_N == expected
+        assert report.failures == ()
+
+    def test_no_thread_outlives_the_call(self, preset_case, monkeypatch):
+        split_chunks(monkeypatch, 3)
+        before = threading.active_count()
+        pairwise_rank_test(*preset_case[0], K=10)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_at_most_svd_chunk_pairs_ranked_at_once(self, preset_case, monkeypatch, cpus):
+        split_chunks(monkeypatch, cpus)
+        svd, lock = np.linalg.svd, threading.Lock()
+        live, peak = [0], [0]
+
+        def counting_svd(X, *args, **kwargs):
+            with lock:
+                live[0] += len(X)
+                peak[0] = max(peak[0], live[0])
+            try:
+                return svd(X, *args, **kwargs)
+            finally:
+                with lock:
+                    live[0] -= len(X)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        pairwise_rank_test(*preset_case[0], K=10)
+        assert 0 < peak[0] <= 1000
+
+    def test_exception_in_a_chunk_surfaces_unchanged(self, preset_case, monkeypatch):
+        split_chunks(monkeypatch, 2)
+        svd, lock, calls = np.linalg.svd, threading.Lock(), []
+        boom = RuntimeError("chunk failed")
+
+        def failing_svd(X, *args, **kwargs):
+            with lock:
+                calls.append(len(X))
+                if len(calls) == 3:
+                    raise boom
+            return svd(X, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            pairwise_rank_test(*preset_case[0], K=10)
+        assert info.value is boom
+        assert threading.active_count() == before
+
+
+class StandInLocations:
+    """A location set built from raw entries, which may hold values that
+    LocationMatrix refuses (NaN)."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return types.SimpleNamespace(entries=self.entries[i])
+
+
+class TestNonFiniteInputs:
+    """Every public function that builds observability stacks refuses
+    non-finite A, C or location entries (ContractError) and names the first
+    hypothesis and power j whose C (A + delta L)^j overflows
+    (NumericalFailureError), before any rank is computed."""
+
+    grid = DeltaGrid(values=[-0.2, -0.1])
+
+    def setup_method(self):
+        self.A, self.locations = tracking_matrices()
+        self.C = np.eye(4)[:2]
+
+    def run(self, fn, A, C, locations):
+        if fn is stack_observability:
+            return stack_observability(self.grid.values[0], locations[0], A, C, 10)
+        if fn is reconstruct:
+            return reconstruct(np.ones(11 * len(C)), A, C, locations, self.grid)
+        return pairwise_rank_test(A, C, locations, self.grid, 10)
+
+    @pytest.mark.parametrize("fn", [pairwise_rank_test, reconstruct, stack_observability],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", ["A", "C", "entries"])
+    def test_non_finite_input_is_contract_error(self, fn, bad):
+        A, C = self.A.copy(), self.C.copy()
+        locations = self.locations
+        if bad == "A":
+            A[1, 2] = np.nan
+        elif bad == "C":
+            C[0, 3] = np.inf
+        else:
+            entries = self.locations.entries.copy()
+            entries[:, 0, 0] = np.nan
+            locations = StandInLocations(entries)
+        with pytest.raises(ContractError, match="non-finite"):
+            self.run(fn, A, C, locations)
+
+    @pytest.mark.parametrize("fn", [pairwise_rank_test, reconstruct, stack_observability],
+                             ids=lambda fn: fn.__name__)
+    def test_overflowing_power_names_hypothesis(self, fn):
+        with pytest.raises(NumericalFailureError, match="overflows") as info:
+            self.run(fn, self.A * 1e200, self.C, self.locations)
+        expected = {"delta": -0.2, "power": 2}
+        if fn is not stack_observability:  # a lone LocationMatrix has no index
+            expected["location"] = 0
+        assert info.value.context == expected
+
+    def test_kl_separation(self):
+        scn = tracking_preset()
+        model = dataclasses.replace(scn.model, A=scn.model.A * 1e200)
+        with pytest.raises(NumericalFailureError) as info:
+            kl_separation(model, self.grid, 10, x_ref=scn.x0_truth)
+        assert info.value.context == {"delta": -0.2, "location": 0, "power": 2}
+        nan_jacobian = dataclasses.replace(
+            scn.model.map, jacobian=lambda x: np.full(np.shape(x)[:-1] + (3, 4), np.nan))
+        model = dataclasses.replace(scn.model, map=nan_jacobian)
+        with pytest.raises(ContractError, match="C has non-finite"):
+            kl_separation(model, self.grid, 10, x_ref=scn.x0_truth)
 
 
 class TestReconstruct:
