@@ -3,14 +3,15 @@
 Each hypothesis (one candidate location matrix) carries a joint Gaussian over
 the perturbation and the state.  A bank holds these as one row per hypothesis
 of stacked arrays, means and square-root factors S of the joint covariances
-(S S^T = P, derived for readers), plus the posterior location probabilities:
+(S S^T = P, derived on first read), plus the posterior location probabilities:
 the full filter state.  Banks are collapsed to a single moment-matched
 Gaussian (a :class:`JointBelief`, which holds a covariance) for reporting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,26 +54,6 @@ def psd_factor(M: np.ndarray, name: str = "covariance") -> np.ndarray:
     return out
 
 
-def _joint_rows(means, covs):
-    """Checked copies of M joint Gaussians over [delta; x], means (M, n+1) and
-    covariances (M, n+1, n+1): finite, with p_delta > 0 (a failing row is named as
-    ``hypothesis``), covariances symmetrized, both arrays read-only."""
-    means, covs = np.array(means, dtype=float), np.asarray(covs, dtype=float)
-    n1 = means.shape[-1] if means.ndim == 2 else 0
-    if n1 < 1 or covs.shape != means.shape + (n1,):
-        raise ContractError(f"inconsistent belief: means {means.shape}, covariances {covs.shape}")
-    if not (np.isfinite(means).all() and np.isfinite(covs).all()):
-        raise ContractError("belief has non-finite entries")
-    covs = symmetrize(covs)
-    bad = np.flatnonzero(~(covs[:, 0, 0] > 0.0))
-    if bad.size:
-        raise ContractError(f"p_delta must be positive, got {covs[bad[0], 0, 0]} (row {bad[0]})",
-                            context={"hypothesis": int(bad[0])})
-    means.setflags(write=False)
-    covs.setflags(write=False)
-    return means, covs
-
-
 @dataclass(frozen=True)
 class JointBelief:
     """Gaussian over [delta; x]: stacked mean ``xi_mean`` and joint covariance ``xi_cov``.
@@ -86,9 +67,18 @@ class JointBelief:
     xi_cov: np.ndarray
 
     def __post_init__(self):
-        means, covs = _joint_rows(np.reshape(self.xi_mean, (1, -1)), np.asarray(self.xi_cov)[None])
-        object.__setattr__(self, "xi_mean", means[0])
-        object.__setattr__(self, "xi_cov", covs[0])
+        xi = np.array(self.xi_mean, dtype=float).reshape(-1)
+        P = np.asarray(self.xi_cov, dtype=float)
+        if xi.size < 1 or P.shape != xi.shape * 2:
+            raise ContractError(f"inconsistent belief: mean {xi.shape}, covariance {P.shape}")
+        if not (np.isfinite(xi).all() and np.isfinite(P).all()):
+            raise ContractError("belief has non-finite entries")
+        P = symmetrize(P)
+        if not P[0, 0] > 0.0:
+            raise ContractError(f"p_delta must be positive, got {P[0, 0]}")
+        for name, a in (("xi_mean", xi), ("xi_cov", P)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def n(self) -> int:
@@ -120,31 +110,43 @@ class HypothesisBank:
     """The filter state: one joint Gaussian over [delta; x] per candidate location,
     stacked as means ``xi_means`` (M, n+1) and square covariance factors
     ``xi_factors`` (M, n+1, n+1), plus the posterior location probabilities
-    ``weights`` (M,).  All three are read-only copies of the inputs; the read-only
-    covariances ``xi_covs`` = S S^T are derived and checked as a belief's are."""
+    ``weights`` (M,).  All three are read-only copies of the inputs, checked as
+    stored: finite, with p_delta = |S[i, 0, :]|^2 > 0 (a failing row is named as
+    ``hypothesis``), and weights on the simplex.  The read-only covariances
+    ``xi_covs`` = S S^T are derived on first read."""
 
     xi_means: np.ndarray
     xi_factors: np.ndarray
     weights: np.ndarray
-    xi_covs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        S = np.array(self.xi_factors, dtype=float)
+        means, S = np.array(self.xi_means, dtype=float), np.array(self.xi_factors, dtype=float)
         if S.ndim != 3 or S.shape[1] != S.shape[2]:
             raise ContractError(f"bank factors must be square matrices (M, n+1, n+1), "
                                 f"got shape {S.shape}")
-        means, covs = _joint_rows(self.xi_means, S @ np.swapaxes(S, -1, -2))
+        if means.ndim != 2 or means.shape[-1] < 1 or S.shape[:2] != means.shape:
+            raise ContractError(f"inconsistent belief: means {means.shape}, covariances {S.shape}")
+        if not (np.isfinite(means).all() and np.isfinite(S).all()):
+            raise ContractError("belief has non-finite entries")
+        p_delta = np.vecdot(S[:, 0], S[:, 0])
+        bad = np.flatnonzero(~(p_delta > 0.0))
+        if bad.size:
+            raise ContractError(f"p_delta must be positive, got {p_delta[bad[0]]} (row {bad[0]})",
+                                context={"hypothesis": int(bad[0])})
         w = np.array(self.weights, dtype=float)
         if w.shape != means.shape[:1]:
             raise ContractError(f"{means.shape[0]} hypotheses but weights of shape {w.shape}")
         if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
             raise ContractError(f"weights must be nonnegative and sum to 1, got {w}")
-        S.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "xi_means", means)
-        object.__setattr__(self, "xi_factors", S)
-        object.__setattr__(self, "xi_covs", covs)
-        object.__setattr__(self, "weights", w)
+        for name, a in (("xi_means", means), ("xi_factors", S), ("weights", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def xi_covs(self) -> np.ndarray:
+        covs = symmetrize(self.xi_factors @ np.swapaxes(self.xi_factors, -1, -2))
+        covs.setflags(write=False)
+        return covs
 
     @property
     def M(self) -> int:

@@ -24,6 +24,7 @@ Likelihoods are handled in log domain throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,13 +58,22 @@ class UpdateReport:
 
 @dataclass(frozen=True)
 class StepResult:
-    """Output of one full filter step."""
+    """Output of one full filter step.  The fused belief and the update reports are
+    derived on first read, from the bank and from the kernel's report rows
+    ``report_rows`` (iterations, cost trajectories, converged flags)."""
 
     bank: HypothesisBank
-    fused: JointBelief
     identified_index: int
     log_lambdas: np.ndarray
-    reports: tuple[UpdateReport, ...] = field(default=())
+    report_rows: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def fused(self) -> JointBelief:
+        return fuse(self.bank)
+
+    @cached_property
+    def reports(self) -> tuple[UpdateReport, ...]:
+        return _reports(*self.report_rows)
 
 
 def initial_bank(model: SystemModel) -> HypothesisBank:
@@ -87,28 +97,25 @@ def _r_whitener(model: SystemModel) -> np.ndarray:
     return model.R_whitener
 
 
+def _checked(a, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as a float array of ``shape`` with no NaN or inf entry; else a
+    :class:`ContractError` naming it."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise ContractError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractError(f"{name} has non-finite entries: {a}")
+    return a
+
+
 def _measurements(y, shape: tuple) -> np.ndarray:
-    """y as a float array of ``shape``, (p,) for one run or (R, p) for a stack of runs,
-    rejecting any NaN or inf entry; one run's measurement may come in any shape of p entries."""
+    """y checked as (p,) for one run or (R, p) for a stack of runs; one run's measurement
+    may come in any shape of p entries."""
     y = np.asarray(y, dtype=float)
-    if len(shape) == 1:
-        y = y.reshape(-1)
-    if y.shape != shape:
-        raise ContractError(f"measurement must have shape {shape}, got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ContractError(f"measurement has non-finite entries: {y}")
-    return y
+    return _checked(y.reshape(-1) if len(shape) == 1 else y, shape, "measurement")
 
 
 # Stacked stages over rows (leading axis); a failing row is named as ``hypothesis``.
-
-def _mv(A, x):
-    return (A @ x[..., None])[..., 0]  # row-wise matrix-vector product
-
-
-def _dot(a, b):
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]  # row-wise inner product
-
 
 def _map_call(fn, X: np.ndarray, tail: tuple, name: str) -> np.ndarray:
     """One measurement-map call on a state stack, checked against the stack contract."""
@@ -132,14 +139,24 @@ def _jacobian(measurement_map, X: np.ndarray, p: int, rows=slice(None)) -> np.nd
     return C
 
 
+@cache
+def _upper(c: int) -> np.ndarray:
+    """Read-only mask of the upper triangle of a c x c matrix."""
+    mask = np.triu(np.ones((c, c), dtype=bool))
+    mask.setflags(write=False)
+    return mask
+
+
 def _qr_root(top, bottom):
     """Upper triangular U with U^T U = T^T T + [0, D]^T [0, D], T = ``top`` (..., k, c) and
-    D = ``bottom`` (..., m, j) filling the last j columns: one stacked QR of [T; [0, D]]."""
+    D = ``bottom`` (..., m, j) filling the last j columns: one stacked QR of [T; [0, D]],
+    whose raw form holds U, transposed, above its Householder vectors."""
     k, c = top.shape[-2:]
     stack = np.zeros(top.shape[:-2] + (k + bottom.shape[-2], c))
     stack[..., :k, :] = top
     stack[..., k:, c - bottom.shape[-1]:] = bottom
-    return np.linalg.qr(stack, mode="r")
+    h = np.linalg.qr(stack, mode="raw")[0]
+    return np.where(_upper(c), np.swapaxes(h, -1, -2)[..., :c, :], 0.0)
 
 
 def _predict_rows(xi, S, L, A, LQ):
@@ -149,9 +166,9 @@ def _predict_rows(xi, S, L, A, LQ):
     A_pert = A + delta[..., None] * L
     # S_pred S_pred^T = (F S)(F S)^T + blkdiag(0, Q) with the Jacobian F = [[1, 0], [L x, A_pert]]
     S0 = S[..., :1, :]
-    FS = np.concatenate([S0, _mv(L, x)[..., None] * S0 + A_pert @ S[..., 1:, :]], axis=-2)
+    FS = np.concatenate([S0, np.matvec(L, x)[..., None] * S0 + A_pert @ S[..., 1:, :]], axis=-2)
     S_pred = np.swapaxes(_qr_root(np.swapaxes(FS, -1, -2), LQ.T), -1, -2)
-    return np.concatenate([delta, _mv(A_pert, x)], axis=-1), S_pred
+    return np.concatenate([delta, np.matvec(A_pert, x)], axis=-1), S_pred
 
 
 def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
@@ -160,10 +177,15 @@ def _reports(iterations, costs, converged) -> tuple[UpdateReport, ...]:
                               bool(ok)) for b, (it, ok) in enumerate(zip(iterations, converged)))
 
 
+def _residual(x, y, measurement_map, LR_inv):
+    """Whitened residuals r = R^{-1/2} (y - h(x)) at states x (B, n)."""
+    return np.matvec(LR_inv, y - _map_call(measurement_map.evaluate, x, y.shape[-1:], "evaluate"))
+
+
 def _gauss_newton(G, u, r, eye):
     """Gradient g = u - G^T r of the cost ||r||^2 + ||u||^2, normal matrix I + G^T G, step d."""
     Gt = np.swapaxes(G, -1, -2)
-    g = u - _mv(Gt, r)
+    g = u - np.matvec(Gt, r)
     N = Gt @ G + eye
     return g, N, np.linalg.solve(N, -g[..., None])[..., 0]
 
@@ -177,12 +199,12 @@ def _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     Woodbury's identity nu^T Sigma^{-1} nu = ||r - G d||^2 + ||d||^2 for round 0's step d."""
     x, p = xi_pred[:, 1:], y.shape[-1]
     C = _jacobian(measurement_map, x, p)
-    r = _mv(LR_inv, y - _map_call(measurement_map.evaluate, x, (p,), "evaluate"))
+    r = _residual(x, y, measurement_map, LR_inv)
     G = LR_inv @ C @ S_pred[:, 1:]
     g, N, d = _gauss_newton(G, np.zeros_like(xi_pred), r, np.eye(xi_pred.shape[-1]))
-    e = r - _mv(G, d)
+    e = r - np.matvec(G, d)
     log_det = 2.0 * np.log(LR.diagonal()).sum() + np.linalg.slogdet(N)[1]
-    ll = -0.5 * (p * np.log(2.0 * np.pi) + log_det + _dot(e, e) + _dot(d, d))
+    ll = -0.5 * (p * np.log(2.0 * np.pi) + log_det + np.vecdot(e, e) + np.vecdot(d, d))
     bad = np.flatnonzero(~np.isfinite(ll))  # e.g. a map that gives NaN at a predicted mean
     if bad.size:
         raise NumericalFailureError(f"log-likelihood at the predicted mean is {ll[bad[0]]}",
@@ -196,38 +218,41 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     I + G^T G, with G = R^{-1/2} C S^x for the state rows S^x of S_pred, is never singular.
     The likelihood comes from round 0 (:func:`_first_round`).  Every round works on all
     working rows, where a converged or stalled row takes a zero step and keeps its iterate;
-    once half of them, and ``GATHER_MIN_ROWS`` or more, are finished, those are dropped."""
+    when every searching row accepts its full step the round takes the trial wholesale, else
+    the rows that refuse it backtrack.  Once half of the working rows, and
+    ``GATHER_MIN_ROWS`` or more, are finished, those are dropped."""
     (B, n1), p = xi_pred.shape, y.shape[-1]
     ll, r, G, g, d = _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv)
-    u, xi, cost, S, eye = np.zeros((B, n1)), xi_pred, _dot(r, r), S_pred, np.eye(n1)
+    u, xi, cost, S, eye = np.zeros((B, n1)), xi_pred, np.vecdot(r, r), S_pred, np.eye(n1)
     costs = np.vstack([cost, np.full((MAX_ITERATIONS, B), np.nan)])
-    iterations, converged, done = np.zeros(B, dtype=int), np.zeros(B, bool), np.zeros(B, bool)
+    converged, done = np.zeros(B, bool), np.zeros(B, bool)
     rows, xi_out, G_out = slice(None), np.empty_like(xi_pred), np.empty_like(G)  # working rows
     for t in range(MAX_ITERATIONS):
         if t:
             g, _, d = _gauss_newton(G, u, r, eye)
         d = np.where(done[:, None], 0.0, d)
-        step = _mv(S, d)  # d moves xi by S_pred d
+        step = np.matvec(S, d)  # d moves xi by S_pred d
         # the step with a decrement at rounding level is the last; its cost may rise by as much
-        small = np.abs(_dot(g, d)) < DECREMENT_TOL
+        small = np.abs(np.vecdot(g, d)) < DECREMENT_TOL
         limit = np.where(small, cost + DECREMENT_TOL, cost)
         u0, xi0, search = u, xi, ~done
-        for _ in range(1 + LINE_SEARCH_MAX_HALVINGS):  # the full step, then backtracking
+        for k in range(1 + LINE_SEARCH_MAX_HALVINGS):  # the full step, then backtracking
             u_try, xi_try = u0 + d, xi0 + step
-            r_try = _mv(LR_inv, y - _map_call(measurement_map.evaluate, xi_try[:, 1:], (p,),
-                                              "evaluate"))
-            c_try = _dot(r_try, r_try) + _dot(u_try, u_try)
+            r_try = _residual(xi_try[:, 1:], y, measurement_map, LR_inv)
+            c_try = np.vecdot(r_try, r_try) + np.vecdot(u_try, u_try)
             ok = search & (c_try <= limit)
+            search &= ~ok
+            if not (k or search.any()):  # every row takes its full step; a done row's is zero
+                u, xi, r, cost = u_try, xi_try, r_try, c_try
+                break
             keep = ok[:, None]
             u, xi, r = np.where(keep, u_try, u), np.where(keep, xi_try, xi), np.where(keep, r_try, r)
             cost = np.where(ok, c_try, cost)
-            search &= ~ok
             if not search.any():
                 break
             d, step = LINE_SEARCH_CONTRACTION * d, LINE_SEARCH_CONTRACTION * step
         # rows with no non-increasing step keep their current iterate and stop
         moved = ~(done | search)
-        iterations[rows] += moved
         costs[t + 1, rows] = np.where(moved, cost, np.nan)
         converged[rows] |= moved & small
         done |= search | small
@@ -245,6 +270,7 @@ def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
     xi_out[rows], G_out[rows] = xi, G
     # U^T U = G^T G + I is the posterior information in u, so S_pred U^{-1} is the posterior factor
     S_post = S_pred @ np.linalg.inv(_qr_root(G_out, eye))
+    iterations = np.count_nonzero(~np.isnan(costs[1:]), axis=0)  # the rounds a row moved in
     return ll, xi_out, S_post, (iterations, costs, converged)
 
 
@@ -267,7 +293,7 @@ def _step_rows(xi, S, mu, y, model: SystemModel):
             exc.context["hypothesis"] %= M
         raise
     ll, xi_post = ll.reshape(R_runs, M), xi_post.reshape(xi.shape)
-    mu_new = update_weights_log(mu, ll)
+    mu_new = _reweight(mu, ll)
     return (xi_post, S_post.reshape(S.shape), mu_new, ll,
             (mu_new[:, None, :] @ xi_post)[:, 0], mu_new.argmax(axis=-1), rows)
 
@@ -353,6 +379,11 @@ def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
         raise ContractError(f"weights must form a simplex, got sum {mu.sum(axis=-1)!r}")
     if np.isnan(ll).any():
         raise ContractError(f"log evidence has NaN entries: {ll}")
+    return _reweight(mu, ll)
+
+
+def _reweight(mu, ll):
+    """The Bayes update and floor of :func:`update_weights_log` on checked stacks."""
     with np.errstate(divide="ignore"):
         log_post = ll + np.log(mu)
     finite = np.isfinite(log_post)
@@ -367,7 +398,8 @@ def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
 def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
               step: int | None = None) -> StepResult:
     """One full filter cycle: per-hypothesis predict / likelihood / MAP update,
-    then weight update, location identification and fusion.
+    then weight update and location identification; the fused belief and the
+    update reports are derived when the result's ``fused``/``reports`` are read.
 
     The likelihood is evaluated on the predicted belief, so it is independent
     of the MAP update outcome, which is :func:`newton_update`'s.  One run
@@ -385,25 +417,30 @@ def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
         if step is not None:
             exc.context.setdefault("step", step)
         raise
-    new_bank = HypothesisBank(xi[0], S[0], mu[0])
-    return StepResult(new_bank, fuse(new_bank), int(identified[0]), ll[0], _reports(*rows))
+    return StepResult(HypothesisBank(xi[0], S[0], mu[0]), int(identified[0]), ll[0], rows)
 
 
 def ekf_step(mean, cov, y, model: SystemModel) -> tuple[np.ndarray, np.ndarray]:
     """Extended Kalman filter step on the nominal model (perturbation ignored).
 
     Also steps R runs at once: means (R, n), covariances (R, n, n), measurements (R, p).
-    A Jacobian that is not finite at the predicted mean is a :class:`NumericalFailureError`.
+    A mean or covariance of another shape, or with a NaN or inf entry, and an R that is not
+    positive definite are a :class:`ContractError`; a Jacobian that is not finite at the
+    predicted mean is a :class:`NumericalFailureError`.
     """
-    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
-    y = _measurements(y, mean.shape[:-1] + (model.p,))
-    m_pred = _mv(model.A, mean)
+    _r_whitener(model)  # refuses an R that is not positive definite, as every entry point does
+    mean, n = np.asarray(mean, dtype=float), model.n
+    runs = mean.shape[:1] if mean.ndim == 2 else ()
+    mean = _checked(mean, runs + (n,), "EKF mean")
+    cov = _checked(cov, runs + (n, n), "EKF covariance")
+    y = _measurements(y, runs + (model.p,))
+    m_pred = np.matvec(model.A, mean)
     P_pred = symmetrize(model.A @ cov @ model.A.T + model.Q)
-    C = _map_call(model.map.jacobian, m_pred, (model.p, model.n), "jacobian")
+    C = _map_call(model.map.jacobian, m_pred, (model.p, n), "jacobian")
     if not np.isfinite(C).all():
         raise NumericalFailureError("EKF measurement Jacobian is not finite at the predicted mean")
     LS_inv = np.linalg.inv(psd_factor(C @ P_pred @ np.swapaxes(C, -1, -2) + model.R,
                                       "EKF innovation covariance"))
     K = P_pred @ np.swapaxes(LS_inv @ C, -1, -2) @ LS_inv
     nu = y - _map_call(model.map.evaluate, m_pred, (model.p,), "evaluate")
-    return m_pred + _mv(K, nu), symmetrize((np.eye(model.n) - K @ C) @ P_pred)
+    return m_pred + np.matvec(K, nu), symmetrize((np.eye(n) - K @ C) @ P_pred)

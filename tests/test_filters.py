@@ -31,7 +31,7 @@ from ssue import (
     tracking_preset,
     update_weights_log,
 )
-from ssue.belief import psd_factor
+from ssue.belief import psd_factor, symmetrize
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -536,6 +536,44 @@ class TestFrozenRows:
         npt.assert_array_equal(result.log_lambdas[0], alone.log_lambdas[0])
         assert first == alone.reports[0]
 
+    def test_backtracking_row_beside_full_steps_equals_it_stepped_alone(self,
+                                                                       tracking_scenario):
+        # h(x) = 10 arctan(x[:3]) from a prediction far from y makes row 1 backtrack in
+        # rounds where rows 0 and 2, predicted near y, take their full Gauss-Newton step
+        def jacobian(x):
+            J = np.zeros(np.shape(x)[:-1] + (3, np.shape(x)[-1]))
+            J[..., range(3), range(3)] = 10.0 / (1.0 + np.asarray(x)[..., :3] ** 2)
+            return J
+
+        events = []
+        mmap = MeasurementMap(3, lambda x: (events.append("E"), 10.0 * np.arctan(x[..., :3]))[1],
+                              lambda x: (events.append("J"), jacobian(x))[1])
+        model = dataclasses.replace(tracking_scenario.model, map=mmap)
+        truth = np.array([2.0, -1.0, 0.5, 0.3])
+        start = initial_bank(model)
+        means = np.array(start.xi_means)
+        means[:, 1:] = truth
+        means[1, 1:] = [-3.0, 4.0, -2.0, 0.0]
+        bank = HypothesisBank(means, 0.3 * start.xi_factors, start.weights)
+        y = 10.0 * np.arctan(truth[:3])
+
+        def backtracked():  # per update round after round 0: more than one evaluation
+            return ["EE" in calls for calls in "".join(events)[2:].split("J")]
+
+        result = ssue_step(bank, y, model)
+        its = [r.iterations_used for r in result.reports]
+        assert any(backtracked()[:min(its[0], its[2])])
+        for i in range(model.M):
+            one = dataclasses.replace(model, locations=LocationSet(model.locations[i:i + 1]))
+            events.clear()
+            alone = ssue_step(HypothesisBank(bank.xi_means[i:i + 1], bank.xi_factors[i:i + 1],
+                                             [1.0]), y, one)
+            assert any(backtracked()) == (i == 1)
+            npt.assert_array_equal(result.bank.xi_means[i], alone.bank.xi_means[0])
+            npt.assert_array_equal(result.bank.xi_factors[i], alone.bank.xi_factors[0])
+            npt.assert_array_equal(result.log_lambdas[i], alone.log_lambdas[0])
+            assert result.reports[i] == alone.reports[0]
+
     def test_dropping_finished_rows_changes_no_number(self, monkeypatch):
         # gathering the finished rows out of a round (GATHER_MIN_ROWS = 1: whenever they
         # are half the working set) passes fewer rows to the map and gives every row the
@@ -569,17 +607,27 @@ class TestFrozenRows:
 
 
 class TestStepObjects:
-    """A step reads and writes the bank's arrays; it builds no per-hypothesis beliefs."""
+    """A step reads and writes the bank's arrays; the fused belief, the update reports
+    and the bank's covariances are derived when first read."""
 
-    def test_step_builds_only_the_fused_belief(self, monkeypatch, rng, tracking_scenario):
+    def test_step_derives_fused_reports_and_covariances_on_read(self, monkeypatch, rng,
+                                                                tracking_scenario):
         model = tracking_scenario.model
-        bank = initial_bank(model)
-        built = []
-        real = JointBelief.__post_init__
+        beliefs, reports = [], []
+        real_init, real_report = JointBelief.__post_init__, filters.UpdateReport
         monkeypatch.setattr(JointBelief, "__post_init__",
-                            lambda self: (built.append(self), real(self))[1])
-        result = ssue_step(bank, model.map.evaluate(rng.normal(size=4) * 3), model)
-        assert len(built) == 1 and built[0] is result.fused
+                            lambda self: (beliefs.append(self), real_init(self))[1])
+        monkeypatch.setattr(filters, "UpdateReport",
+                            lambda *args: (reports.append(args), real_report(*args))[1])
+        result = ssue_step(initial_bank(model), model.map.evaluate(rng.normal(size=4) * 3), model)
+        assert not beliefs and not reports
+        fused = result.fused
+        assert result.fused is fused and len(beliefs) == 1 and beliefs[0] is fused
+        assert len(result.reports) == model.M == len(reports)
+        S = result.bank.xi_factors
+        npt.assert_array_equal(result.bank.xi_covs, symmetrize(S @ np.swapaxes(S, -1, -2)))
+        with pytest.raises(ValueError):
+            result.bank.xi_covs[0, 0, 0] = 1.0
 
 
 class TestSingularMeasurementNoise:
@@ -606,6 +654,11 @@ class TestSingularMeasurementNoise:
             newton_update(pred, np.ones(model.p), model)
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
             log_likelihood(pred, np.ones(model.p), model)
+
+    def test_ekf_rejects(self, scenario):
+        model = scenario.model
+        with pytest.raises(ContractError, match="covariance R is not positive definite"):
+            ekf_step(np.zeros(model.n), np.eye(model.n), np.ones(model.p), model)
 
 
 class TestNonFiniteMeasurement:
@@ -786,3 +839,21 @@ class TestEkfStep:
         y = model.map.evaluate(model.A @ mean)
         got_mean, _ = ekf_step(mean, np.eye(3), y, model)
         npt.assert_allclose(got_mean, model.A @ mean, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["nan_mean", "inf_cov", "nan_cov", "short_mean",
+                                      "matrix_mean", "short_cov", "unstacked_cov"])
+    def test_bad_mean_or_covariance_is_contract_error(self, rng, case):
+        model = self.make_linear_model(rng)
+        mean, cov, y = np.zeros(3), np.eye(3), np.zeros(2)
+        mean, cov, y, match = {
+            "nan_mean": (np.array([0.0, np.nan, 0.0]), cov, y, "EKF mean has non-finite"),
+            "inf_cov": (mean, np.diag([1.0, np.inf, 1.0]), y, "EKF covariance has non-finite"),
+            "nan_cov": (mean, np.full((3, 3), np.nan), y, "EKF covariance has non-finite"),
+            "short_mean": (np.zeros(2), cov, y, r"EKF mean must have shape \(3,\), got \(2,\)"),
+            "matrix_mean": (np.zeros((1, 1, 3)), cov, y, r"EKF mean must have shape \(3,\)"),
+            "short_cov": (mean, np.eye(2), y, r"EKF covariance must have shape \(3, 3\), got"),
+            "unstacked_cov": (np.zeros((2, 3)), cov, np.zeros((2, 2)),
+                              r"EKF covariance must have shape \(2, 3, 3\), got \(3, 3\)"),
+        }[case]
+        with pytest.raises(ContractError, match=match):
+            ekf_step(mean, cov, y, model)
