@@ -22,7 +22,6 @@ from .belief import (
 from .errors import (
     ConfigurationError,
     ContractError,
-    DegenerateEvidenceError,
     ExcitationError,
     NoMatchError,
     NumericalFailureError,
@@ -33,11 +32,7 @@ from .filters import (
     UpdateReport,
     ekf_step,
     initial_bank,
-    log_likelihood,
-    newton_update,
-    predict,
     ssue_step,
-    update_weights_log,
 )
 from .model import (
     LocationMatrix,

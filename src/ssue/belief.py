@@ -56,12 +56,8 @@ def psd_factor(M: np.ndarray, name: str = "covariance") -> np.ndarray:
 
 @dataclass(frozen=True)
 class JointBelief:
-    """Gaussian over [delta; x]: stacked mean ``xi_mean`` and joint covariance ``xi_cov``.
-
-    The blocks are read-only views of these two arrays: ``p_delta`` is the
-    scalar perturbation variance, ``p_delta_x`` the 1 x n cross covariance
-    (a length-n vector) and ``p_x`` the n x n state covariance.
-    """
+    """Gaussian over [delta; x]: stacked mean ``xi_mean`` and joint covariance ``xi_cov``,
+    read-only; ``delta_mean`` is the perturbation mean xi_mean[0]."""
 
     xi_mean: np.ndarray
     xi_cov: np.ndarray
@@ -81,28 +77,8 @@ class JointBelief:
             object.__setattr__(self, name, a)
 
     @property
-    def n(self) -> int:
-        return self.xi_mean.shape[0] - 1
-
-    @property
     def delta_mean(self) -> float:
         return float(self.xi_mean[0])
-
-    @property
-    def x_mean(self) -> np.ndarray:
-        return self.xi_mean[1:]
-
-    @property
-    def p_delta(self) -> float:
-        return float(self.xi_cov[0, 0])
-
-    @property
-    def p_delta_x(self) -> np.ndarray:
-        return self.xi_cov[0, 1:]
-
-    @property
-    def p_x(self) -> np.ndarray:
-        return self.xi_cov[1:, 1:]
 
 
 @dataclass(frozen=True)

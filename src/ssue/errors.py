@@ -31,10 +31,6 @@ class SingularGradientError(NumericalFailureError):
     """Gradient of a range measurement is undefined (state coincides with a sensor)."""
 
 
-class DegenerateEvidenceError(NumericalFailureError):
-    """Every hypothesis assigned zero evidence; the weight update is undefined."""
-
-
 class ExcitationError(ValueError):
     """An all-zero output sequence cannot pin down any hypothesis."""
 

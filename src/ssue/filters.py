@@ -14,9 +14,10 @@ finished row takes a zero step and keeps its iterate; a large batch drops its
 finished rows once they are half the set.  Rows never mix, so a run's numbers
 are bit-identical alone or in a batch.
 
-Between steps each row's covariance is the square-root factor S (S S^T = P)
-that the bank stores, so no step factors its input; the per-belief functions
-take covariances and factor them on entry.
+The kernel has two entries: :func:`ssue_step` advances one run's bank by one
+measurement, and :func:`ssue.sim.estimate_batch` advances many runs of one
+model together.  Between steps each row's covariance is the square-root factor
+S (S S^T = P) that the bank stores, so no step factors its input.
 
 Likelihoods are handled in log domain throughout.
 """
@@ -29,7 +30,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .belief import HypothesisBank, JointBelief, fuse, psd_factor, symmetrize
-from .errors import ContractError, DegenerateEvidenceError, NumericalFailureError
+from .errors import ContractError, NumericalFailureError
 from .model import SystemModel
 
 LINE_SEARCH_CONTRACTION = 0.5
@@ -160,8 +161,12 @@ def _qr_root(top, bottom):
 
 
 def _predict_rows(xi, S, L, A, LQ):
-    """:func:`predict` of rows (..., n+1) with covariance factors S (..., n+1, n+1),
-    locations L (..., n, n) and Q^{1/2}, to the predicted means and factors."""
+    """Prediction of rows (..., n+1) with covariance factors S (..., n+1, n+1) through
+    x+ = (A + delta L) x + w, w ~ N(0, Q), for locations L (..., n, n) and Q^{1/2} = LQ,
+    to the predicted means and factors.  The joint covariance is pushed through the
+    Jacobian F = [[1, 0], [L x, A + delta L]] of [delta; x] -> [delta; x+], so the
+    perturbation mean carries over exactly and its variance to rounding.  A singular Q
+    is used exactly: no jitter is added."""
     delta, x = xi[..., :1], xi[..., 1:]
     A_pert = A + delta[..., None] * L
     # S_pred S_pred^T = (F S)(F S)^T + blkdiag(0, Q) with the Jacobian F = [[1, 0], [L x, A_pert]]
@@ -213,9 +218,26 @@ def _first_round(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
 
 
 def _update_rows(xi_pred, S_pred, y, measurement_map, LR, LR_inv):
-    """:func:`log_likelihood` and :func:`newton_update` of B rows, in whitened coordinates u
-    with xi = xi_pred + S_pred u: the prior term of the cost is ||u||^2 and the normal matrix
-    I + G^T G, with G = R^{-1/2} C S^x for the state rows S^x of S_pred, is never singular.
+    """The log innovation densities and the iterative MAP measurement updates of B
+    predicted rows under the measurement map h and noise covariance R = LR LR^T.
+
+    Each update minimizes the stacked least-squares cost
+
+        L(u) = ||R^{-1/2} (y - h(x))||^2 + ||u||^2,   xi = xi_pred + S_pred u,
+
+    in whitened coordinates u from the prediction u = 0, where S_pred S_pred^T = P_pred;
+    for a nonsingular P_pred the prior term is ||P_pred^{-1/2} (xi - xi_pred)||^2.
+    Gauss-Newton on it is the iterated EKF update (Bell & Cathey 1993), and its iterates
+    do not depend on the choice of S_pred or of coordinates (Bell 1994).  The normal
+    matrix I + G^T G, with G = R^{-1/2} C S^x for the state rows S^x of S_pred, is never
+    singular, so a singular P_pred is used exactly: xi stays in xi_pred + range(P_pred),
+    and P_pred is neither inverted nor jittered.  Every step is backtracked, halving it
+    until the cost stops increasing; a row stops after the step whose Newton decrement
+    |g^T d| is below ``DECREMENT_TOL``, or after ``MAX_ITERATIONS`` steps.  The posterior
+    covariance is S_pred (I + G^T G)^{-1} S_pred^T with C at the last iterate; for a
+    nonsingular P_pred that is the inverse Fisher information [H + P_pred^{-1}]^{-1},
+    H = blkdiag(0, C^T R^{-1} C).
+
     The likelihood comes from round 0 (:func:`_first_round`).  Every round works on all
     working rows, where a converged or stalled row takes a zero step and keeps its iterate;
     when every searching row accepts its full step the round takes the trial wholesale, else
@@ -298,112 +320,28 @@ def _step_rows(xi, S, mu, y, model: SystemModel):
             (mu_new[:, None, :] @ xi_post)[:, 0], mu_new.argmax(axis=-1), rows)
 
 
-# Public per-belief API: the one-row case of the stacked stages, under one model.
-
-def _one_row(belief: JointBelief, model: SystemModel, name: str):
-    """A belief's mean and covariance factor as one-row stacks, checked against the model."""
-    if belief.n != model.n:
-        raise ContractError(f"belief has state dimension {belief.n}, the model {model.n}")
-    return belief.xi_mean[None], psd_factor(belief.xi_cov[None], name)
-
-
-def predict(belief: JointBelief, model: SystemModel, i: int) -> JointBelief:
-    """Propagate a joint belief one step through x+ = (A + delta * L) x + w, with L the
-    model's location ``i`` and w ~ N(0, Q).
-
-    The joint covariance is pushed through the Jacobian F = [[1, 0], [L x, A + delta L]]
-    of [delta; x] -> [delta; x+], so the perturbation mean and variance carry over
-    unchanged.  A singular Q is used exactly, as in the filter: no jitter is added.
-    """
-    if not 0 <= i < model.M:
-        raise ContractError(f"location index {i} is not one of the model's {model.M}")
-    xi, S = _one_row(belief, model, "joint covariance")
-    xi, S_pred = _predict_rows(xi, S, model.locations.entries[i][None], model.A, model.Q_factor)
-    P = S_pred[0] @ S_pred[0].T
-    P[0, 0] = belief.p_delta  # exact: delta has no process noise, and sqrt(p)^2 need not be p
-    return JointBelief(xi[0], P)
-
-
-def newton_update(pred: JointBelief, y: np.ndarray,
-                  model: SystemModel) -> tuple[JointBelief, UpdateReport]:
-    """Iterative MAP measurement update of the predicted joint belief under the model's
-    measurement map h and noise covariance R.
-
-    Minimizes the stacked least-squares cost
-
-        L(u) = ||R^{-1/2} (y - h(x))||^2 + ||u||^2,   xi = xi_pred + S u,
-
-    starting from the prediction u = 0, where S S^T = P_pred is the predicted
-    factor; for a nonsingular P_pred the prior term is ||P^{-1/2} (xi - xi_pred)||^2.
-    Gauss-Newton on it is the iterated EKF update (Bell & Cathey 1993), and its
-    iterates do not depend on the choice of S or of coordinates (Bell 1994).
-    A singular predicted covariance is used exactly: the update keeps xi in
-    xi_pred + range(P_pred), and P_pred is neither inverted nor jittered.  Every
-    step is backtracked, halving it until the cost stops increasing; the update
-    stops after the step whose Newton decrement |g^T d| is below ``DECREMENT_TOL``,
-    or after ``MAX_ITERATIONS`` steps.  The posterior covariance is
-    S (I + G^T G)^{-1} S^T with G = R^{-1/2} C S^x, S^x the state rows of S and C
-    evaluated at the last iterate; for a nonsingular P_pred that is the inverse
-    Fisher information [H + P_pred^{-1}]^{-1} with H = blkdiag(0, C^T R^{-1} C).
-    """
-    y = _measurements(y, (model.p,))[None]
-    xi, S_pred = _one_row(pred, model, "predicted joint covariance")
-    _, xi, S, rows = _update_rows(xi, S_pred, y, model.map, model.R_factor, _r_whitener(model))
-    return JointBelief(xi[0], S[0] @ S[0].T), _reports(*rows)[0]
-
-
-def log_likelihood(pred: JointBelief, y: np.ndarray, model: SystemModel) -> float:
-    """Log innovation density of y under the predicted belief.
-
-    Gaussian with mean h(x_pred) and covariance C P^x C^T + R, with C the
-    measurement Jacobian at the predicted state mean; computed by round 0 of
-    :func:`newton_update`, with no factorization of the innovation covariance.
-    """
-    y = _measurements(y, (model.p,))[None]
-    xi, S_pred = _one_row(pred, model, "predicted joint covariance")
-    return float(_first_round(xi, S_pred, y, model.map, model.R_factor, _r_whitener(model))[0][0])
-
-
-def update_weights_log(mu_prev, log_lambdas) -> np.ndarray:
-    """Bayes update of the location probabilities from log evidences; stacks
-    (R, M) of weights and log evidences are updated one run (row) at a time.
-    A log evidence of -inf is zero evidence and a NaN is refused.  Each posterior
-    weight is floored at ``WEIGHT_FLOOR`` and the row renormalized, so no
-    hypothesis dies for good."""
-    mu, ll = np.asarray(mu_prev, dtype=float), np.asarray(log_lambdas, dtype=float)
-    if mu.ndim != 2:
-        mu, ll = mu.reshape(-1), ll.reshape(-1)
-    if mu.shape != ll.shape:
-        raise ContractError("weights and likelihoods must have equal length")
-    if not ((mu >= 0.0).all() and (np.abs(mu.sum(axis=-1) - 1.0) <= 1e-12).all()):  # NaN fails
-        raise ContractError(f"weights must form a simplex, got sum {mu.sum(axis=-1)!r}")
-    if np.isnan(ll).any():
-        raise ContractError(f"log evidence has NaN entries: {ll}")
-    return _reweight(mu, ll)
-
-
 def _reweight(mu, ll):
-    """The Bayes update and floor of :func:`update_weights_log` on checked stacks."""
+    """Bayes update of the location probabilities, stacks (R, M) of weights on the
+    simplex and finite log evidences, one run (row) at a time.  A zero weight has
+    log -inf and gets exp(-inf) = 0; each posterior weight is then floored at
+    ``WEIGHT_FLOOR`` and the row renormalized, so no hypothesis dies for good."""
     with np.errstate(divide="ignore"):
         log_post = ll + np.log(mu)
-    finite = np.isfinite(log_post)
-    if not finite.any(axis=-1).all():
-        raise DegenerateEvidenceError("all hypotheses received zero evidence")
-    top = np.where(finite, log_post, -np.inf).max(axis=-1, keepdims=True)
-    shifted = np.where(finite, np.exp(log_post - top), 0.0)
+    shifted = np.exp(log_post - log_post.max(axis=-1, keepdims=True))
     mu_new = np.maximum(shifted / shifted.sum(axis=-1, keepdims=True), WEIGHT_FLOOR)
     return mu_new / mu_new.sum(axis=-1, keepdims=True)
 
 
 def ssue_step(bank: HypothesisBank, y, model: SystemModel, *,
               step: int | None = None) -> StepResult:
-    """One full filter cycle: per-hypothesis predict / likelihood / MAP update,
-    then weight update and location identification; the fused belief and the
-    update reports are derived when the result's ``fused``/``reports`` are read.
+    """One full filter cycle of one run: per hypothesis, the prediction, the innovation
+    likelihood and the MAP update (:func:`_predict_rows`, :func:`_update_rows`), then the
+    weight update and location identification; the fused belief and the update reports
+    are derived when the result's ``fused``/``reports`` are read.
 
-    The likelihood is evaluated on the predicted belief, so it is independent
-    of the MAP update outcome, which is :func:`newton_update`'s.  One run
-    (B = M rows) of the stacked kernel; a failure carries ``step`` in its context.
+    The likelihood is evaluated on the predicted belief, so it is independent of the
+    MAP update's outcome.  One run (B = M rows) of the stacked kernel; a failure carries
+    ``step`` in its context.
     """
     try:
         if bank.M != model.M:

@@ -84,18 +84,14 @@ class ObservabilityReport:
     warnings: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
+        """JSON-ready form: one row per failing pair, its columns named once in
+        ``failure_fields``, and the pairs' ``required_rank`` (None with no failure)."""
         return {
             "horizon_tested": self.horizon_tested,
             "smallest_passing_N": self.smallest_passing_N,
-            "failures": [
-                {
-                    "hypothesis_a": {"delta": f.delta_a, "location": f.loc_a},
-                    "hypothesis_b": {"delta": f.delta_b, "location": f.loc_b},
-                    "rank": f.rank,
-                    "required_rank": f.required_rank,
-                }
-                for f in self.failures
-            ],
+            "required_rank": self.failures[0].required_rank if self.failures else None,
+            "failure_fields": ["delta_a", "loc_a", "delta_b", "loc_b", "rank"],
+            "failures": [[f.delta_a, f.loc_a, f.delta_b, f.loc_b, f.rank] for f in self.failures],
             "warnings": list(self.warnings),
         }
 

@@ -15,7 +15,6 @@ import ssue
 from ssue import (
     DeltaGrid,
     HypothesisBank,
-    JointBelief,
     LocationMatrix,
     LocationSet,
     SystemModel,
@@ -25,9 +24,7 @@ from ssue import (
     kl_separation,
     linear_map,
     loglik_ratio_trajectory,
-    newton_update,
     pairwise_rank_test,
-    predict,
     reconstruct,
     ssue_step,
     stack_observability,
@@ -48,8 +45,19 @@ def rel_err(a, b):
 # ---------------------------------------------------------------------------
 
 
+def augmented_prediction(xi, P, A, L, Q):
+    """Textbook augmented-state EKF prediction of [delta; x] through
+    x+ = (A + delta L) x + w: F = [[1, 0], [L x, A + delta L]], P+ = F P F^T + blkdiag(0, Q)."""
+    n = A.shape[0]
+    F = np.zeros((n + 1, n + 1))
+    F[0, 0], F[1:, 0], F[1:, 1:] = 1.0, L @ xi[1:], A + xi[0] * L
+    return np.concatenate([[xi[0]], F[1:, 1:] @ xi[1:]]), F @ P @ F.T + block_diag(0.0, Q)
+
+
 def test_criterion_1_kalman_oracle_equivalence():
-    """Linear-map MAP update == augmented-state Kalman update, 100 steps."""
+    """A linear-map ssue_step of a one-location model == the augmented-state EKF
+    prediction followed by the Kalman update, 100 steps: the bank's mean and
+    covariance after each step against the oracle's from the same prior."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(314)
     n, p = 6, 4
@@ -67,26 +75,23 @@ def test_criterion_1_kalman_oracle_equivalence():
                         domain=UncertaintyDomain(((-0.1, 0.0),)),
                         Q=Q, R=R, P0=np.eye(n), map=linear_map(C))
 
-    belief = JointBelief(
-        np.concatenate([[-0.05], rng.normal(size=n)]),
-        np.diag(np.concatenate([[0.01], np.ones(n)])),
-    )
+    xi0 = np.concatenate([[-0.05], rng.normal(size=n)])
+    bank = HypothesisBank(xi0[None], np.diag(np.concatenate([[0.1], np.ones(n)]))[None], [1.0])
     worst_mean = worst_cov = 0.0
     for _ in range(100):
-        pred = predict(belief, model, 0)
-        y = C @ pred.x_mean + rng.normal(size=p)
-        post, _ = newton_update(pred, y, model)
+        xi_pred, P_pred = augmented_prediction(bank.xi_means[0], bank.xi_covs[0], A,
+                                               loc_entries, Q)
+        y = C @ xi_pred[1:] + rng.normal(size=p)
+        bank = ssue_step(bank, y, model).bank
 
-        P_pred = pred.xi_cov
         S = C_aug @ P_pred @ C_aug.T + R
         K = P_pred @ C_aug.T @ np.linalg.inv(S)
-        xi_ref = pred.xi_mean + K @ (y - C_aug @ pred.xi_mean)
+        xi_ref = xi_pred + K @ (y - C_aug @ xi_pred)
         P_ref = (np.eye(n + 1) - K @ C_aug) @ P_pred
         P_ref = 0.5 * (P_ref + P_ref.T)
 
-        worst_mean = max(worst_mean, rel_err(post.xi_mean, xi_ref))
-        worst_cov = max(worst_cov, rel_err(post.xi_cov, P_ref))
-        belief = post
+        worst_mean = max(worst_mean, rel_err(bank.xi_means[0], xi_ref))
+        worst_cov = max(worst_cov, rel_err(bank.xi_covs[0], P_ref))
     elapsed = time.perf_counter() - t0
     report(1, worst_mean <= 1e-8 and worst_cov <= 1e-8 and elapsed < 1.0,
            f"worst mean rel err {worst_mean:.2e}, worst cov rel err {worst_cov:.2e}, "
@@ -94,10 +99,15 @@ def test_criterion_1_kalman_oracle_equivalence():
 
 
 def test_criterion_2_map_cost_oracle():
-    """Newton fixed point == derivative-free minimizer of the MAP cost."""
+    """The MAP update of an ssue_step == a derivative-free minimizer of the MAP cost:
+    the posterior mean of a one-location tracking model against Nelder-Mead on the
+    cost under the augmented-state EKF prediction of the same prior."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(2718)
     model = tracking_preset().model
+    L = model.locations[0].entries
+    single = SystemModel(A=model.A, locations=LocationSet((model.locations[0],)),
+                         domain=model.domain, Q=model.Q, R=model.R, P0=model.P0, map=model.map)
 
     def cost(xi, xi_pred, P_pred, y):
         nu = y - model.map.evaluate(xi[1:])
@@ -108,18 +118,18 @@ def test_criterion_2_map_cost_oracle():
     worst = 0.0
     for _ in range(20):
         W = rng.normal(size=(5, 5))
-        P_pred = W @ W.T + 5 * np.eye(5)
-        xi_pred = np.concatenate([[rng.uniform(-0.15, -0.05)], rng.normal(size=4) * 3])
-        pred = JointBelief(xi_pred, P_pred)
-        y = model.map.evaluate(pred.x_mean + rng.normal(size=4)) + 0.5 * rng.normal(size=3)
-        post, _ = newton_update(pred, y, model)
+        P = W @ W.T + 5 * np.eye(5)
+        xi = np.concatenate([[rng.uniform(-0.15, -0.05)], rng.normal(size=4) * 3])
+        xi_pred, P_pred = augmented_prediction(xi, P, model.A, L, model.Q)
+        y = model.map.evaluate(xi_pred[1:] + rng.normal(size=4)) + 0.5 * rng.normal(size=3)
+        post = ssue_step(HypothesisBank(xi[None], psd_factor(P[None]), [1.0]), y, single).bank
         res = minimize(cost, xi_pred, args=(xi_pred, P_pred, y), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 20000, "maxfev": 20000})
         res = minimize(cost, res.x, args=(xi_pred, P_pred, y), method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12,
                                 "maxiter": 20000, "maxfev": 20000})
-        worst = max(worst, float(np.linalg.norm(post.xi_mean - res.x)))
+        worst = max(worst, float(np.linalg.norm(post.xi_means[0] - res.x)))
     elapsed = time.perf_counter() - t0
     report(2, worst <= 1e-4 and elapsed < 30.0,
            f"worst |xi_newton - xi_oracle| {worst:.2e}, {elapsed:.1f}s")

@@ -8,10 +8,14 @@ import pytest
 from ssue import (
     ConfigurationError,
     ContractError,
+    DeltaGrid,
     NumericalFailureError,
+    PairFailure,
     Scenario,
+    linearized_C,
     model_from_json,
     monte_carlo,
+    pairwise_rank_test,
     run_estimation,
     tracking_preset,
 )
@@ -511,7 +515,7 @@ class TestObservabilityCommand:
         assert main(["observability", "--config", cfg]) == 0
         report = json.loads((tmp_path / "out" / "observability_report.json").read_text())
         assert report["smallest_passing_N"] == 1
-        assert report["failures"] == []
+        assert report["failures"] == [] and report["required_rank"] is None
         assert report["grid"]["points"] == 1
 
     def test_tracking_preset_structural_failures_exit_4(self, tmp_path):
@@ -526,6 +530,16 @@ class TestObservabilityCommand:
         report = json.loads((tmp_path / "out" / "observability_report.json").read_text())
         assert report["smallest_passing_N"] is None
         assert len(report["failures"]) > 0
+        # one row per failing pair, read back through the column names
+        scenario = tracking_preset(steps=10, seed=1)
+        model = scenario.model
+        expected = pairwise_rank_test(model.A, linearized_C(model, x_ref=scenario.x0_truth),
+                                      model.locations,
+                                      DeltaGrid.from_domain(model.domain, points_per_interval=5), 4)
+        assert report["failure_fields"] == ["delta_a", "loc_a", "delta_b", "loc_b", "rank"]
+        rows = [dict(zip(report["failure_fields"], row)) for row in report["failures"]]
+        assert tuple(PairFailure(**row, required_rank=report["required_rank"])
+                     for row in rows) == expected.failures
 
     def test_zero_grid_exits_4_with_warnings(self, tmp_path):
         model = json.loads(json.dumps(LINEAR_MODEL))

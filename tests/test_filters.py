@@ -9,7 +9,6 @@ from scipy.optimize import minimize
 from ssue import filters
 from ssue import (
     ContractError,
-    DegenerateEvidenceError,
     HypothesisBank,
     JointBelief,
     LocationMatrix,
@@ -22,19 +21,29 @@ from ssue import (
     estimate_batch,
     initial_bank,
     linear_map,
-    log_likelihood,
-    newton_update,
-    predict,
     run_estimation,
     simulate,
     ssue_step,
     tracking_preset,
-    update_weights_log,
 )
 from ssue.belief import psd_factor, symmetrize
 
 # ---------------------------------------------------------------------------
-# Independent oracles
+# Independent oracles.  The filter has two entries, ssue_step and estimate_batch;
+# the kernel's prediction, likelihood, MAP update and weight update are checked
+# through ssue_step, mostly on one-location models.
+
+
+def prediction_oracle(belief, model):
+    """Textbook augmented-state EKF prediction under the model's first location L:
+    mean [delta; (A + delta L) x] and covariance F P F^T + blkdiag(0, Q) with the
+    Jacobian F = [[1, 0], [L x, A + delta L]]."""
+    L, delta, x = model.locations[0].entries, belief.xi_mean[0], belief.xi_mean[1:]
+    F = np.zeros((model.n + 1, model.n + 1))
+    F[0, 0], F[1:, 0], F[1:, 1:] = 1.0, L @ x, model.A + delta * L
+    P = F @ belief.xi_cov @ F.T
+    P[1:, 1:] += model.Q
+    return np.concatenate([[delta], F[1:, 1:] @ x]), P
 
 
 def kalman_update_oracle(xi_pred, P_pred, y, C_aug, R):
@@ -72,6 +81,36 @@ def linear_model(A, Q, C, R, loc=None):
                        Q=Q, R=R, P0=np.eye(n), map=linear_map(C))
 
 
+def one_location(model, i=0):
+    """``model`` with its location ``i`` as the only candidate."""
+    return dataclasses.replace(model, locations=LocationSet(model.locations[i:i + 1]))
+
+
+def twin_model(model, count):
+    """``model`` with ``count`` copies of its location 1 as the candidates."""
+    loc = model.locations[1]
+    twins = object.__new__(LocationSet)  # bypass the distinctness invariant
+    object.__setattr__(twins, "members", (loc,) * count)
+    object.__setattr__(twins, "entries", np.stack([loc.entries] * count))
+    return dataclasses.replace(model, locations=twins)
+
+
+def step_belief(belief, y, model):
+    """``ssue_step`` of a one-location model from ``belief`` (its covariance factored
+    here): the posterior belief, the log evidence of y and the update's report."""
+    bank = HypothesisBank(belief.xi_mean[None], psd_factor(belief.xi_cov[None]), [1.0])
+    result = ssue_step(bank, y, model)
+    post = JointBelief(result.bank.xi_means[0], result.bank.xi_covs[0])
+    return post, result.log_lambdas[0], result.reports[0]
+
+
+def predicted(belief, model):
+    """The step's prediction of ``belief`` under a one-location ``model``: a step under
+    the uninformative map C = 0, whose update keeps the prediction."""
+    blind = dataclasses.replace(model, map=linear_map(np.zeros((1, model.n))), R=np.eye(1))
+    return step_belief(belief, np.zeros(1), blind)[0]
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 
@@ -83,52 +122,39 @@ class TestPredict:
         model = linear_model(A, np.zeros((n, n)), np.eye(n), np.eye(n),
                              LocationMatrix(np.diag([1.0, 0.0, 1.0])))
         b = JointBelief(np.concatenate([[0.0], rng.normal(size=n)]), np.eye(n + 1))
-        out = predict(b, model, 0)
-        npt.assert_allclose(out.x_mean, A @ b.x_mean, rtol=1e-14)
+        out = predicted(b, model)
+        npt.assert_allclose(out.xi_mean[1:], A @ b.xi_mean[1:], rtol=1e-14)
 
     def test_scalar_hand_case_mean(self):
         b = JointBelief(np.array([-0.05, 2.0]), np.eye(2))
-        out = predict(b, linear_model(np.ones((1, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1)), 0)
-        npt.assert_allclose(out.x_mean, [1.9], rtol=1e-14)
+        out = predicted(b, linear_model(np.ones((1, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1)))
+        npt.assert_allclose(out.xi_mean[1:], [1.9], rtol=1e-14)
 
     def test_scalar_hand_case_covariance_blocks(self):
         # A=[1], L=[1], delta=0, x=[1], unit joint covariance, Q=[0]:
         # F=[1,1], P^x+ = 2, P^{dx}+ = 1, P^d+ = 1 (the singular Q is used as it is)
         b = JointBelief(np.array([0.0, 1.0]), np.eye(2))
-        out = predict(b, linear_model(np.ones((1, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1)), 0)
-        assert out.p_delta == 1.0
-        npt.assert_array_equal(out.p_x, [[2.0]])
-        npt.assert_array_equal(out.p_delta_x, [1.0])
+        out = predicted(b, linear_model(np.ones((1, 1)), np.zeros((1, 1)), np.eye(1), np.eye(1)))
+        npt.assert_array_equal(out.xi_cov, [[1.0, 1.0], [1.0, 2.0]])
 
-    def test_preserves_delta_variance_exactly(self, rng, tracking_scenario):
-        model = tracking_scenario.model
+    def test_preserves_delta_mean_and_variance(self, rng, tracking_scenario):
+        # delta has no dynamics and no process noise: its mean carries over exactly,
+        # its variance |S[0, :]|^2 of the predicted factor to rounding
+        model = one_location(tracking_scenario.model, 1)
         b = random_belief(rng, model.n)
-        out = predict(b, model, 1)
-        assert out.p_delta == b.p_delta
+        out = predicted(b, model)
         assert out.delta_mean == b.delta_mean
+        npt.assert_allclose(out.xi_cov[0, 0], b.xi_cov[0, 0], rtol=1e-14)
 
     def test_output_joint_covariance_is_spd(self, rng, tracking_scenario):
-        model = tracking_scenario.model
+        model = one_location(tracking_scenario.model)
         for _ in range(10):
             b = random_belief(rng, model.n)
-            out = predict(b, model, 0)
+            out = predicted(b, model)
             P = out.xi_cov
             npt.assert_array_equal(P, P.T)
             assert np.linalg.eigvalsh(P)[0] > 0
-
-    def test_belief_of_another_state_dimension_is_contract_error(self, rng, tracking_scenario):
-        model = tracking_scenario.model
-        small = random_belief(rng, model.n - 1)
-        for call in (lambda: predict(small, model, 0),
-                     lambda: log_likelihood(small, np.zeros(model.p), model),
-                     lambda: newton_update(small, np.zeros(model.p), model)):
-            with pytest.raises(ContractError, match="state dimension 3, the model 4"):
-                call()
-
-    @pytest.mark.parametrize("i", [-1, 3])
-    def test_location_index_out_of_range_is_contract_error(self, rng, tracking_scenario, i):
-        with pytest.raises(ContractError, match="location index"):
-            predict(random_belief(rng, 4), tracking_scenario.model, i)
+            assert rel_err(P, prediction_oracle(b, model)[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +165,10 @@ class TestNewtonUpdate:
     def test_zero_innovation_is_fixed_point(self, rng):
         n, p = 3, 2
         model = linear_model(np.eye(n), np.eye(n), rng.normal(size=(p, n)), np.eye(p))
-        pred = random_belief(rng, n)
-        y = model.map.evaluate(pred.x_mean)
-        post, report = newton_update(pred, y, model)
-        npt.assert_allclose(post.xi_mean, pred.xi_mean, rtol=0, atol=1e-12)
+        prior = random_belief(rng, n)
+        xi_pred, _ = prediction_oracle(prior, model)
+        post, _, report = step_belief(prior, model.map.evaluate(xi_pred[1:]), model)
+        npt.assert_allclose(post.xi_mean, xi_pred, rtol=0, atol=1e-12)
         assert report.converged
 
     @pytest.mark.parametrize("max_iterations", [1, 3, 10])
@@ -151,48 +177,52 @@ class TestNewtonUpdate:
         n, p = 4, 2
         C = rng.normal(size=(p, n))
         R = np.diag(rng.uniform(0.5, 2.0, p))
-        model = linear_model(np.eye(n), np.eye(n), C, R)
         C_aug = np.hstack([np.zeros((p, 1)), C])
-        # a rank-deficient predicted covariance (one state pinned) is used exactly
+        # a rank-deficient prior (one state pinned) under Q = 0 predicts a singular
+        # covariance, which the update uses exactly
         W = rng.normal(size=(n + 1, n + 1))
         W[n] = 0.0
         pinned = JointBelief(np.concatenate([[-0.1], rng.normal(size=n)]), W @ W.T)
-        for pred in [random_belief(rng, n) for _ in range(10)] + [pinned]:
-            y = C @ pred.x_mean + rng.normal(size=p)
-            post, _ = newton_update(pred, y, model)
-            xi_ref, P_ref = kalman_update_oracle(
-                pred.xi_mean, pred.xi_cov, y, C_aug, R)
+        cases = [(np.eye(n), random_belief(rng, n)) for _ in range(10)] + [(np.zeros((n, n)), pinned)]
+        for Q, prior in cases:
+            model = linear_model(np.eye(n), Q, C, R)
+            xi_pred, P_pred = prediction_oracle(prior, model)
+            y = C @ xi_pred[1:] + rng.normal(size=p)
+            post, _, _ = step_belief(prior, y, model)
+            xi_ref, P_ref = kalman_update_oracle(xi_pred, P_pred, y, C_aug, R)
             assert rel_err(post.xi_mean, xi_ref) <= 1e-8
             assert rel_err(post.xi_cov, P_ref) <= 1e-8
+        assert np.linalg.matrix_rank(P_pred) == n  # the pinned case's
 
     def test_range_map_matches_derivative_free_minimizer(self, rng, tracking_scenario):
-        model = tracking_scenario.model
+        model = one_location(tracking_scenario.model)
         for _ in range(5):
-            pred = random_belief(rng, model.n, x_scale=3.0)
-            x_true = pred.x_mean + rng.normal(size=model.n)
+            prior = random_belief(rng, model.n, x_scale=3.0)
+            xi_pred, P_pred = prediction_oracle(prior, model)
+            x_true = xi_pred[1:] + rng.normal(size=model.n)
             y = model.map.evaluate(x_true) + rng.normal(size=model.p) * 0.5
-            post, _ = newton_update(pred, y, model)
-            P_pred = pred.xi_cov
+            post, _, _ = step_belief(prior, y, model)
             res = minimize(
-                map_cost, pred.xi_mean,
-                args=(pred.xi_mean, P_pred, y, model.map, model.R),
+                map_cost, xi_pred,
+                args=(xi_pred, P_pred, y, model.map, model.R),
                 method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
             )
             res = minimize(
                 map_cost, res.x,
-                args=(pred.xi_mean, P_pred, y, model.map, model.R),
+                args=(xi_pred, P_pred, y, model.map, model.R),
                 method="Nelder-Mead",
                 options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 20000, "maxfev": 20000},
             )
             assert np.linalg.norm(post.xi_mean - res.x) <= 1e-4
 
     def test_backtracking_cost_trajectory_non_increasing(self, rng, tracking_scenario):
-        model = tracking_scenario.model
+        model = one_location(tracking_scenario.model)
         for _ in range(10):
-            pred = random_belief(rng, model.n, x_scale=4.0)
-            y = model.map.evaluate(pred.x_mean + rng.normal(size=model.n) * 2.0)
-            _, report = newton_update(pred, y, model)
+            prior = random_belief(rng, model.n, x_scale=4.0)
+            xi_pred, _ = prediction_oracle(prior, model)
+            y = model.map.evaluate(xi_pred[1:] + rng.normal(size=model.n) * 2.0)
+            _, _, report = step_belief(prior, y, model)
             costs = np.asarray(report.cost_trajectory)
             assert np.all(np.diff(costs) <= 1e-12)
             assert report.final_cost == costs[-1]
@@ -200,13 +230,12 @@ class TestNewtonUpdate:
     @pytest.mark.parametrize("removed", [{"step_tolerance": 1e-9}, {"line_search": "none"},
                                          {"mode": "full_newton"}, {"opts": None}],
                              ids=["step_tolerance", "line_search", "mode", "opts"])
-    def test_removed_options_are_type_errors(self, rng, removed):
-        # the update has no options: Gauss-Newton only, stopping on the Newton
+    def test_removed_options_are_type_errors(self, removed):
+        # the step has no update options: Gauss-Newton only, stopping on the Newton
         # decrement or at MAX_ITERATIONS, always backtracking
-        pred = random_belief(rng, 2)
         model = linear_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(TypeError):
-            newton_update(pred, np.zeros(2), model, **removed)
+            ssue_step(initial_bank(model), np.zeros(2), model, **removed)
 
 
 # ---------------------------------------------------------------------------
@@ -214,91 +243,119 @@ class TestNewtonUpdate:
 
 
 class TestLikelihood:
+    """The step's log evidence of y is the innovation density under its prediction.
+    A prior with delta = 0 and x = 0 under A = 1 and Q = 0 is its own prediction."""
+
+    @staticmethod
+    def scalar():
+        """h(x) = x with A = 1, Q = 0 and R = 1."""
+        return linear_model(np.eye(1), np.zeros((1, 1)), np.eye(1), np.eye(1))
+
+    @staticmethod
+    def loglik(prior, y, model):
+        return step_belief(prior, y, model)[1]
+
     def test_scalar_zero_innovation_value(self):
         # p=1, h(x)=x, P^x=1, R=1, nu=0: (2 pi * 2)^{-1/2}
-        pred = JointBelief(np.array([0.0, 1.5]), np.eye(2))
-        model = linear_model(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
-        loglam = log_likelihood(pred, np.array([1.5]), model)
+        prior = JointBelief(np.zeros(2), np.eye(2))
+        loglam = self.loglik(prior, np.zeros(1), self.scalar())
         npt.assert_allclose(loglam, np.log(1.0 / np.sqrt(4.0 * np.pi)), rtol=1e-12)
         npt.assert_allclose(loglam, np.log(0.28209), rtol=1e-4)
 
     def test_huge_innovation_underflows_but_log_is_finite(self):
-        pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
-        model = linear_model(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
+        prior = JointBelief(np.zeros(2), np.eye(2))
         y = np.array([100.0 * np.sqrt(2.0)])  # 100 sigma for Gamma = 2
-        loglam = log_likelihood(pred, y, model)
+        loglam = self.loglik(prior, y, self.scalar())
         assert np.exp(loglam) == 0.0  # the linear-domain value underflows
         expected = -0.5 * 100.0 ** 2 - 0.5 * np.log(2 * np.pi * 2.0)
         npt.assert_allclose(loglam, expected, rtol=1e-12)
 
     def test_maximal_at_zero_innovation(self, rng):
-        pred = JointBelief(np.array([0.0, 0.0]), np.eye(2))
-        model = linear_model(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
-        peak = log_likelihood(pred, np.zeros(1), model)
+        prior, model = JointBelief(np.zeros(2), np.eye(2)), self.scalar()
+        peak = self.loglik(prior, np.zeros(1), model)
         for _ in range(20):
             y = rng.normal(size=1) * 5
-            assert log_likelihood(pred, y, model) <= peak
+            assert self.loglik(prior, y, model) <= peak
 
     @pytest.mark.parametrize("p, n, rank", [(2, 2, 3), (3, 2, 3), (2, 4, 5), (3, 4, 5), (3, 4, 2)])
     def test_matches_dense_gaussian_density(self, rng, p, n, rank):
-        # rank < n + 1: the predicted joint covariance is singular and is used as it is
+        # rank < n + 1: under Q = 0 the predicted joint covariance is singular and is
+        # used as it is
         W = rng.normal(size=(n + 1, rank))
-        pred = JointBelief(rng.normal(size=n + 1), W @ W.T)
+        prior = JointBelief(rng.normal(size=n + 1), W @ W.T)
         C, V = rng.normal(size=(p, n)), rng.normal(size=(p, p))
         R = V @ V.T + np.eye(p)
-        y = C @ pred.x_mean + 2.0 * rng.normal(size=p)
-        Sigma, nu = C @ pred.p_x @ C.T + R, y - C @ pred.x_mean
+        model = linear_model(np.eye(n), np.zeros((n, n)), C, R)
+        xi_pred, P_pred = prediction_oracle(prior, model)
+        y = C @ xi_pred[1:] + 2.0 * rng.normal(size=p)
+        Sigma, nu = C @ P_pred[1:, 1:] @ C.T + R, y - C @ xi_pred[1:]
         dense = -0.5 * (p * np.log(2 * np.pi) + np.linalg.slogdet(Sigma)[1]
                         + nu @ np.linalg.solve(Sigma, nu))
-        model = linear_model(np.eye(n), np.eye(n), C, R)
-        npt.assert_allclose(log_likelihood(pred, y, model), dense, rtol=1e-12)
+        npt.assert_allclose(self.loglik(prior, y, model), dense, rtol=1e-12)
 
 
 class TestUpdateWeights:
-    def test_uniform_evidence_leaves_weights(self):
+    """The step's weights are the Bayes update of the bank's weights by its own log
+    evidences, floored at ``WEIGHT_FLOOR`` and renormalized."""
+
+    def test_uniform_evidence_leaves_weights(self, rng, tracking_scenario):
+        model = twin_model(tracking_scenario.model, 3)
+        start = initial_bank(model)
         mu = np.array([0.25, 0.5, 0.25])
-        out = update_weights_log(mu, np.log([3.0, 3.0, 3.0]))
-        npt.assert_allclose(out, mu, rtol=1e-14)
+        bank = HypothesisBank(start.xi_means, start.xi_factors, mu)
+        result = ssue_step(bank, model.map.evaluate(rng.normal(size=4) * 3), model)
+        assert len(set(result.log_lambdas.tolist())) == 1
+        npt.assert_allclose(result.bank.weights, mu, rtol=1e-14)
 
-    def test_direct_normalization(self):
-        out = update_weights_log([0.5, 0.5], np.log([2.0, 1.0]))
-        npt.assert_allclose(out, [2 / 3, 1 / 3], rtol=1e-14)
+    def test_direct_normalization(self, rng, tracking_scenario):
+        model = tracking_scenario.model
+        start = initial_bank(model)
+        mu = np.array([0.2, 0.3, 0.5])
+        bank = HypothesisBank(start.xi_means, start.xi_factors, mu)
+        result = ssue_step(bank, model.map.evaluate(rng.normal(size=4)), model)
+        lam = np.exp(result.log_lambdas - result.log_lambdas.max())
+        assert len(set(result.log_lambdas.tolist())) == 3
+        npt.assert_allclose(result.bank.weights, mu * lam / (mu @ lam), rtol=1e-14)
 
-    def test_floor_revives_dead_hypotheses(self):
-        out = update_weights_log([1.0, 0.0], np.log([1.0, 1.0]))
-        assert out[1] == pytest.approx(1e-12, rel=1e-6)
+    def test_floor_revives_dead_hypotheses(self, tracking_scenario):
+        # a zero weight has log -inf (no warning) and comes back at the floor
+        model = dataclasses.replace(tracking_scenario.model,
+                                    locations=LocationSet(tracking_scenario.model.locations[:2]))
+        start = initial_bank(model)
+        bank = HypothesisBank(start.xi_means, start.xi_factors, [1.0, 0.0])
+        result = ssue_step(bank, model.map.evaluate(tracking_scenario.x0_truth), model)
+        out = result.bank.weights
+        npt.assert_allclose(out[1], 1e-12, rtol=1e-6)  # pytest.approx would accept 0
         npt.assert_allclose(out.sum(), 1.0, atol=1e-15)
+        assert result.identified_index == 0
 
-    def test_all_zero_evidence_raises(self):
-        with np.errstate(divide="ignore"):
-            zero_evidence = np.log([0.0, 0.0])
-        with pytest.raises(DegenerateEvidenceError):
-            update_weights_log([0.5, 0.5], zero_evidence)
+    def test_identified_location_invariant_under_lambda_scaling(self, rng, tracking_scenario):
+        # an extra output that no state moves, y_extra ~ N(0, r), multiplies every
+        # hypothesis' evidence by one factor N(c; 0, r) and leaves the weights as they are
+        model = tracking_scenario.model
+        h, p = model.map, model.p
 
-    def test_contract_errors(self):
-        with pytest.raises(ContractError):
-            update_weights_log([0.5, 0.5], np.log([1.0]))
-        with pytest.raises(ContractError):
-            update_weights_log([0.7, 0.7], np.log([1.0, 1.0]))
-        with pytest.raises(ContractError, match="simplex"):
-            update_weights_log([np.nan, 0.5], [0.0, 0.0])
+        def padded(a, tail):
+            return np.concatenate([a, np.zeros(np.shape(a)[:-len(tail)] + tail)], axis=-len(tail))
 
-    def test_nan_evidence_is_refused_and_minus_inf_is_zero_evidence(self):
-        with pytest.raises(ContractError, match="NaN"):
-            update_weights_log([0.5, 0.5], [np.nan, 0.0])
-        npt.assert_allclose(update_weights_log([0.5, 0.5], [-np.inf, 0.0]), [1e-12, 1.0],
-                            rtol=1e-6)
-
-    def test_identified_location_invariant_under_lambda_scaling(self, rng):
+        wide_map = MeasurementMap(p + 1, lambda x: padded(h.evaluate(x), (1,)),
+                                  lambda x: padded(h.jacobian(x), (1, model.n)))
+        start = initial_bank(model)
         for _ in range(20):
             mu = rng.uniform(0.1, 1.0, 3)
             mu = mu / mu.sum()
-            lam = rng.uniform(0.1, 5.0, 3)
-            scale = rng.uniform(1e-3, 1e3)
-            a = update_weights_log(mu, np.log(lam))
-            b = update_weights_log(mu, np.log(lam * scale))
-            npt.assert_allclose(a, b, rtol=1e-10)
-            assert np.argmax(a) == np.argmax(b)
+            r, c = rng.uniform(0.1, 5.0), rng.normal()
+            R = np.zeros((p + 1, p + 1))
+            R[:p, :p], R[p, p] = model.R, r
+            wide = dataclasses.replace(model, map=wide_map, R=R)
+            bank = HypothesisBank(start.xi_means, start.xi_factors, mu)
+            y = h.evaluate(rng.normal(size=4) * 3)
+            a = ssue_step(bank, y, model)
+            b = ssue_step(bank, np.append(y, c), wide)
+            npt.assert_allclose(b.log_lambdas - a.log_lambdas,
+                                -0.5 * (np.log(2 * np.pi * r) + c * c / r), rtol=1e-10)
+            npt.assert_allclose(a.bank.weights, b.bank.weights, rtol=1e-10)
+            assert a.identified_index == b.identified_index
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +366,7 @@ class TestSsueStep:
     def test_single_hypothesis_bank(self, rng):
         scn = tracking_preset(seed=3)
         model = scn.model
-        single = SystemModel(
-            A=model.A, locations=LocationSet((model.locations[1],)),
-            domain=model.domain, Q=model.Q, R=model.R, P0=model.P0, map=model.map)
+        single = one_location(model, 1)
         bank = initial_bank(single)
         y = model.map.evaluate(rng.normal(size=4) * 3)
         result = ssue_step(bank, y, single)
@@ -321,36 +376,13 @@ class TestSsueStep:
 
     def test_identical_locations_keep_weights_symmetric(self, rng):
         scn = tracking_preset(seed=4)
-        model = scn.model
-        loc = model.locations[1]
-        twin_set = object.__new__(LocationSet)  # bypass the distinctness invariant
-        object.__setattr__(twin_set, "members", (loc, loc))
-        object.__setattr__(twin_set, "entries", np.stack([loc.entries, loc.entries]))
-        twins = SystemModel(A=model.A, locations=twin_set, domain=model.domain,
-                            Q=model.Q, R=model.R, P0=model.P0, map=model.map)
+        twins = twin_model(scn.model, 2)
         bank = initial_bank(twins)
-        y = model.map.evaluate(rng.normal(size=4) * 2)
+        y = scn.model.map.evaluate(rng.normal(size=4) * 2)
         result = ssue_step(bank, y, twins)
         assert result.log_lambdas[0] == result.log_lambdas[1]
         npt.assert_allclose(result.bank.weights, [0.5, 0.5], atol=1e-15)
         assert result.identified_index == 0  # a tie goes to the lowest index
-
-    def test_matches_the_one_row_functions(self, tracking_scenario):
-        # each hypothesis of a step is predict -> log_likelihood -> newton_update under
-        # the same model, up to rounding: they factor each belief's covariance, where the
-        # step carries the bank's factor
-        model = tracking_scenario.model
-        bank = initial_bank(model)
-        for y in simulate(tracking_scenario).measurements[:60]:
-            result = ssue_step(bank, y, model)
-            for i in range(model.M):
-                pred = predict(JointBelief(bank.xi_means[i], bank.xi_covs[i]), model, i)
-                post, report = newton_update(pred, y, model)
-                assert rel_err(log_likelihood(pred, y, model), result.log_lambdas[i]) <= 1e-12
-                assert rel_err(post.xi_mean, result.bank.xi_means[i]) <= 1e-12
-                assert rel_err(post.xi_cov, result.bank.xi_covs[i]) <= 1e-12
-                assert report.iterations_used == result.reports[i].iterations_used
-            bank = result.bank
 
     def test_bank_model_mismatch_is_contract_error(self, tracking_scenario):
         model = tracking_scenario.model
@@ -520,8 +552,8 @@ class TestFrozenRows:
         bank = HypothesisBank(np.tile(xi, (3, 1)), initial_bank(model).xi_factors, np.full(3, 1 / 3))
         # a measurement that the first location's prediction explains to within 1e-7,
         # so that row's first step is small enough to be its last, but not zero
-        pred = predict(JointBelief(xi, bank.xi_covs[0]), model, 0)
-        y = model.map.evaluate(pred.x_mean) + 1e-7 * np.array([1.0, -1.0, 1.0])
+        x_pred = (model.A + xi[0] * model.locations[0].entries) @ xi[1:]
+        y = model.map.evaluate(x_pred) + 1e-7 * np.array([1.0, -1.0, 1.0])
         result = ssue_step(bank, y, model)
         first = result.reports[0]
         assert first.converged and first.iterations_used == 1
@@ -646,15 +678,6 @@ class TestSingularMeasurementNoise:
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
             run_estimation(scenario)
 
-    def test_update_and_likelihood_reject(self, scenario):
-        model = scenario.model
-        bank = initial_bank(model)
-        pred = JointBelief(bank.xi_means[0], bank.xi_covs[0])
-        with pytest.raises(ContractError, match="covariance R is not positive definite"):
-            newton_update(pred, np.ones(model.p), model)
-        with pytest.raises(ContractError, match="covariance R is not positive definite"):
-            log_likelihood(pred, np.ones(model.p), model)
-
     def test_ekf_rejects(self, scenario):
         model = scenario.model
         with pytest.raises(ContractError, match="covariance R is not positive definite"):
@@ -677,14 +700,8 @@ class TestNonFiniteMeasurement:
             ssue_step(initial_bank(model), bad_y, model, step=7)
         assert info.value.context["step"] == 7
 
-    def test_update_likelihood_and_ekf_reject(self, bad_y, tracking_scenario):
+    def test_ekf_rejects(self, bad_y, tracking_scenario):
         model = tracking_scenario.model
-        bank = initial_bank(model)
-        pred = JointBelief(bank.xi_means[0], bank.xi_covs[0])
-        with pytest.raises(ContractError, match="non-finite"):
-            newton_update(pred, bad_y, model)
-        with pytest.raises(ContractError, match="non-finite"):
-            log_likelihood(pred, bad_y, model)
         with pytest.raises(ContractError, match="non-finite"):
             ekf_step(np.zeros(model.n), model.P0, bad_y, model)
 
@@ -797,12 +814,12 @@ class TestInitialBank:
         bank = initial_bank(tracking_scenario.model)
         assert bank.M == 3
         npt.assert_allclose(bank.weights, np.full(3, 1 / 3), atol=1e-15)
-        b = JointBelief(bank.xi_means[0], bank.xi_covs[0])
-        assert b.delta_mean == pytest.approx(-0.105)
-        assert b.p_delta == pytest.approx(0.095 ** 2)
-        npt.assert_array_equal(b.x_mean, np.zeros(4))
-        npt.assert_array_equal(b.p_x, tracking_scenario.model.P0)
-        npt.assert_array_equal(b.p_delta_x, np.zeros(4))
+        xi, P = bank.xi_means[0], bank.xi_covs[0]
+        assert xi[0] == pytest.approx(-0.105)
+        assert P[0, 0] == pytest.approx(0.095 ** 2)
+        npt.assert_array_equal(xi[1:], np.zeros(4))
+        npt.assert_array_equal(P[1:, 1:], tracking_scenario.model.P0)
+        npt.assert_array_equal(P[0, 1:], np.zeros(4))
 
 
 class TestEkfStep:
