@@ -23,12 +23,9 @@ from .observability import DeltaGrid, _hypotheses, _stack_blocks
 
 @dataclass(frozen=True)
 class StackedOutputModel:
-    """Pieces of the stacked output covariance for one (delta, location) hypothesis."""
+    """Stacked input matrix I_k and output covariance Sigma_k of one hypothesis."""
 
-    O_k: np.ndarray
     I_k: np.ndarray
-    Omega_k: np.ndarray
-    R_k_stacked: np.ndarray
     Sigma_k: np.ndarray
 
 
@@ -56,30 +53,28 @@ def _input_blocks(blocks: np.ndarray) -> np.ndarray:
 
 
 def _stacked_outputs(model: SystemModel, deltas, entries, k: int, x_ref, locs=None):
-    """O_k, I_k (both batched over hypotheses), Omega_k, the stacked R and the
-    batched Sigma_k, all from one set of stacked powers."""
+    """The (N, k+1, p, n) stacked powers C (A + delta L)^j and the batched Sigma_k.
+
+    Sigma_k = X X^T + blkdiag(R, ..., R) with X = [O_k P0^(1/2), I_k (I (x) Q^(1/2))]
+    taken from the model's factors in one product: no O_k, I_k, Omega_k or stacked
+    R is formed."""
     blocks = _stack_blocks(deltas, entries, model.A, linearized_C(model, x_ref), k, locs)
-    N, _, p, n = blocks.shape
-    O = blocks.reshape(N, (k + 1) * p, n)
-    I = _input_blocks(blocks)
-    Omega = np.kron(np.eye(k + 1), model.Q)  # blkdiag(P0, Q, ..., Q)
-    Omega[:n, :n] = model.P0
-    R_stacked = np.kron(np.eye(k + 1), model.R)
-    Pi = np.concatenate([O, I], axis=2)
-    Sigma = Pi @ Omega @ Pi.transpose(0, 2, 1) + R_stacked
-    return O, I, Omega, R_stacked, 0.5 * (Sigma + Sigma.transpose(0, 2, 1))
+    N, K1, p, n = blocks.shape
+    X = np.concatenate([(blocks @ model.P0_factor).reshape(N, K1 * p, n),
+                        _input_blocks(blocks @ model.Q_factor)], axis=2)
+    Sigma = X @ X.transpose(0, 2, 1)
+    Sigma.reshape(N, K1, p, K1, p)[:, range(K1), :, range(K1), :] += model.R
+    return blocks, 0.5 * (Sigma + Sigma.transpose(0, 2, 1))
 
 
 def output_covariance(delta: float, loc: LocationMatrix, model: SystemModel, k: int,
                       x_ref=None) -> StackedOutputModel:
     """Covariance of the stacked outputs [y_0; ...; y_k] under one hypothesis.
 
-    The noise block of Omega_k holds k copies of Q (one per w_0..w_{k-1}).
+    I_k maps the k process noises w_0..w_{k-1} (covariance Q each) to the outputs.
     """
-    O, I, Omega, R_stacked, Sigma = _stacked_outputs(model, [float(delta)],
-                                                     loc.entries[None], k, x_ref)
-    return StackedOutputModel(O_k=O[0], I_k=I[0], Omega_k=Omega,
-                              R_k_stacked=R_stacked, Sigma_k=Sigma[0])
+    blocks, Sigma = _stacked_outputs(model, [float(delta)], loc.entries[None], k, x_ref)
+    return StackedOutputModel(I_k=_input_blocks(blocks)[0], Sigma_k=Sigma[0])
 
 
 def _chol_or_contract(Sigma: np.ndarray, name: str) -> np.ndarray:
@@ -113,16 +108,23 @@ def kl_separation(model: SystemModel, grid: DeltaGrid, k: int, x_ref=None) -> np
 
     Entry (t, i) is D(Sigma_k(t) || Sigma_k(i)); hypotheses are ordered
     grid-major (all locations for the first delta, then the next delta, ...).
-    Distinct covariances are factored once, and the trace terms
-    tr(Sigma_i^-1 Sigma_t) = <Sigma_i^-1, Sigma_t>_F of all pairs form one
-    matrix product; hypotheses with identical Sigma_k read exactly 0.
+    Hypotheses whose Sigma_k are equal entry for entry (their bytes after adding
+    0.0, which maps -0.0 to +0.0) share one Cholesky factor and read exactly 0
+    against each other: identical Sigma_k, not identical (delta, L), decide
+    that, so every location at delta = 0 and every delta of an unobservable
+    perturbation coincide.  The trace terms tr(Sigma_i^-1 Sigma_t) =
+    <Sigma_i^-1, Sigma_t>_F of all pairs form one matrix product.
     """
     deltas, locs, entries = _hypotheses(grid, model.locations)
-    sigmas = _stacked_outputs(model, deltas, entries, k, x_ref, locs)[-1]
+    sigmas = _stacked_outputs(model, deltas, entries, k, x_ref, locs)[1]
     N, m, _ = sigmas.shape
-    distinct, group = np.unique(sigmas.reshape(N, -1), axis=0, return_inverse=True)
+    sigmas += 0.0
+    first: dict[bytes, int] = {}
+    group = np.array([first.setdefault(s.tobytes(), len(first)) for s in sigmas])
+    del first  # its keys copy every Sigma_k: free them before factoring
+    distinct = sigmas[np.unique(group, return_index=True)[1]]
     try:
-        chols = np.linalg.cholesky(distinct.reshape(-1, m, m))
+        chols = np.linalg.cholesky(distinct)
     except np.linalg.LinAlgError as exc:
         for q in range(N):  # name the first offending hypothesis
             _chol_or_contract(sigmas[q], f"Sigma_k of hypothesis {q}")
@@ -130,10 +132,9 @@ def kl_separation(model: SystemModel, grid: DeltaGrid, k: int, x_ref=None) -> np
     chol_inv = np.linalg.inv(chols)
     inv = chol_inv.transpose(0, 2, 1) @ chol_inv
     log_dets = 2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
-    D = 0.5 * (distinct @ inv.reshape(len(distinct), -1).T - m
+    D = 0.5 * (distinct.reshape(len(inv), -1) @ inv.reshape(len(inv), -1).T - m
                + log_dets[None, :] - log_dets[:, None])
     np.fill_diagonal(D, 0.0)
-    group = group.reshape(-1)
     return np.maximum(D, 0.0)[group[:, None], group[None, :]]
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import time
@@ -32,6 +33,24 @@ def tracking_batch():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def count_linalg(monkeypatch):
+    """Calling it starts counting every np.linalg call: returns a Counter of calls by
+    name and a list of (name, shape of the first argument) in call order."""
+    def start():
+        calls, shapes = collections.Counter(), []
+        for name in np.linalg.__all__:
+            fn = getattr(np.linalg, name)
+            if callable(fn) and not isinstance(fn, type):
+                def counted(*args, _real=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    shapes.append((_name, np.shape(args[0]) if args else None))
+                    return _real(*args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, counted)
+        return calls, shapes
+    return start
 
 
 def _break_record(record, fault: str) -> str:

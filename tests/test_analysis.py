@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -18,6 +19,8 @@ from ssue import (
     loglik_ratio_trajectory,
     model_from_json,
     output_covariance,
+    stack_observability,
+    tracking_preset,
 )
 
 
@@ -111,19 +114,28 @@ class TestOutputCovariance:
         npt.assert_allclose(out.Sigma_k, C @ model.P0 @ C.T + model.R, rtol=1e-12)
 
     def test_no_state_randomness_leaves_measurement_noise(self, tracking_scenario):
-        import dataclasses
         model = dataclasses.replace(tracking_scenario.model,
                                     Q=np.zeros((4, 4)), P0=np.zeros((4, 4)))
         out = output_covariance(-0.05, model.locations[1], model, 3,
                                 x_ref=tracking_scenario.x0_truth)
-        npt.assert_array_equal(out.Sigma_k, out.R_k_stacked)
+        npt.assert_array_equal(out.Sigma_k, np.kron(np.eye(4), model.R))
 
-    def test_blocks_assemble_to_sigma(self, tracking_scenario):
-        model = tracking_scenario.model
-        out = output_covariance(-0.05, model.locations[0], model, 4,
-                                x_ref=tracking_scenario.x0_truth)
-        Pi = np.hstack([out.O_k, out.I_k])
-        ref = Pi @ out.Omega_k @ Pi.T + out.R_k_stacked
+    @pytest.mark.parametrize("k", [0, 1, 4, 20])
+    @pytest.mark.parametrize("preset", [
+        pytest.param({}, id="preset"),
+        pytest.param({"q": 0.0, "P0": np.diag([25.0, 25.0, 0.0, 0.0])}, id="singular_P0_q0"),
+    ])
+    def test_blocks_assemble_to_sigma(self, tracking_scenario, preset, k):
+        # dense oracle: [O_k I_k] blkdiag(P0, Q, ..., Q) [O_k I_k]^T + I (x) R
+        model = tracking_preset(seed=42, **preset).model
+        x_ref = tracking_scenario.x0_truth
+        out = output_covariance(-0.05, model.locations[0], model, k, x_ref=x_ref)
+        O = stack_observability(-0.05, model.locations[0], model.A,
+                                linearized_C(model, x_ref), k)
+        Omega = np.kron(np.eye(k + 1), model.Q)
+        Omega[:model.n, :model.n] = model.P0
+        Pi = np.hstack([O, out.I_k])
+        ref = Pi @ Omega @ Pi.T + np.kron(np.eye(k + 1), model.R)
         npt.assert_allclose(out.Sigma_k, 0.5 * (ref + ref.T), rtol=1e-12)
         eig = np.linalg.eigvalsh(out.Sigma_k)
         assert eig[0] > 0
@@ -226,7 +238,6 @@ class TestKlSeparation:
     def test_non_pd_sigma_names_hypothesis(self):
         # with no noise, Sigma_1 = O P0 O^T is singular exactly when C A = c C,
         # which for A = I + delta diag(1, 0) and C = [1, 1] happens at delta = 0
-        import dataclasses
         model = model_from_json(json.dumps({
             "A": [[1.0, 0.0], [0.0, 1.0]],
             "locations": [[[1, 0], [0, 0]]],
@@ -249,6 +260,48 @@ class TestKlSeparation:
         for i in (0, 2):
             assert D[t, i] > 1e-6
             assert D[i, t] > 1e-6
+
+    @pytest.mark.parametrize("a2", [0.5, -0.5])
+    def test_identical_sigma_not_identical_hypothesis_reads_zero(self, a2, count_linalg):
+        # C = [1, 0] never sees the second state, so perturbing A[1, 1] (location 0)
+        # leaves Sigma_k unchanged for every delta, while location 1 moves it
+        model = SystemModel(
+            A=np.diag([0.9, a2]),
+            locations=LocationSet((LocationMatrix(np.diag([0.0, 1.0])),
+                                   LocationMatrix(np.diag([1.0, 0.0])))),
+            domain=UncertaintyDomain(((-0.3, 0.3),)),
+            Q=np.array([[0.2, 0.05], [0.05, 0.1]]), R=np.eye(1),
+            P0=np.array([[1.0, 0.3], [0.3, 2.0]]), map=linear_map([[1.0, 0.0]]))
+        grid = DeltaGrid(values=[-0.3, -0.1, 0.1, 0.3])
+        k, x_ref = 4, np.zeros(2)
+        _, shapes = count_linalg()
+        D = kl_separation(model, grid, k, x_ref=x_ref)
+        # one Sigma_k for location 0, four for location 1
+        assert shapes == [("cholesky", (5, k + 1, k + 1)), ("inv", (5, k + 1, k + 1))]
+        sigmas = [output_covariance(d, model.locations[i], model, k, x_ref=x_ref).Sigma_k
+                  for d in grid.values for i in range(model.M)]
+        unobservable = np.arange(0, 8, 2)
+        for q in unobservable[1:]:
+            npt.assert_array_equal(sigmas[q], sigmas[0])
+        same = np.zeros((8, 8), dtype=bool)
+        same[np.ix_(unobservable, unobservable)] = True
+        npt.assert_array_equal(D[same], 0.0)  # 12 ordered pairs and their diagonal
+        npt.assert_array_equal(np.diag(D), 0.0)
+        oracle = np.array([[gaussian_kl(St, Si) for Si in sigmas] for St in sigmas])
+        off = ~same & ~np.eye(8, dtype=bool)
+        assert np.all(D[off] > 0)
+        npt.assert_allclose(D[off], oracle[off], rtol=1e-10, atol=0)
+
+    def test_factors_each_distinct_sigma_once(self, tracking_scenario, count_linalg):
+        # grid (-0.05, 0.0): 6 hypotheses, the three at delta = 0 share one Sigma_k
+        model = tracking_scenario.model
+        k = 5
+        _, shapes = count_linalg()
+        D = kl_separation(model, DeltaGrid(values=[-0.05, 0.0]), k,
+                          x_ref=tracking_scenario.x0_truth)
+        assert D.shape == (6, 6)
+        m = (k + 1) * model.p
+        assert shapes == [("cholesky", (4, m, m)), ("inv", (4, m, m))]
 
 
 class TestLogLikRatioTrajectory:

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 
 import numpy as np
@@ -523,19 +522,13 @@ class TestLinalgCalls:
         pytest.param(4, {}, id="4"),
         pytest.param(2, {"q": 0.0, "P0": np.diag([25.0, 25.0, 0.0, 0.0])}, id="singular_P0_q0-2"),
     ])
-    def test_step_linalg_call_budget(self, rng, monkeypatch, max_iterations, preset):
+    def test_step_linalg_call_budget(self, rng, monkeypatch, count_linalg, max_iterations,
+                                     preset):
         monkeypatch.setattr(filters, "MAX_ITERATIONS", max_iterations)
         model = tracking_preset(seed=1000, **preset).model
         y = model.map.evaluate(rng.normal(size=(2, 4)) * 3)
         bank = ssue_step(initial_bank(model), y[0], model).bank  # a step's output is the input
-        calls = collections.Counter()
-        for name in np.linalg.__all__:
-            fn = getattr(np.linalg, name)
-            if callable(fn) and not isinstance(fn, type):
-                def counted(*args, _real=fn, _name=name, **kwargs):
-                    calls[_name] += 1
-                    return _real(*args, **kwargs)
-                monkeypatch.setattr(np.linalg, name, counted)
+        calls, _ = count_linalg()
         result = ssue_step(bank, y[1], model)
         assert all(r.iterations_used == max_iterations for r in result.reports)
         assert calls == {"qr": 2, "solve": max_iterations, "slogdet": 1, "inv": 1}
