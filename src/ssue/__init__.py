@@ -48,7 +48,6 @@ from .model import (
 from .observability import (
     DeltaGrid,
     ObservabilityReport,
-    PairFailure,
     ReconstructionResult,
     pairwise_rank_test,
     reconstruct,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief import symmetrize
 from .errors import ContractError
 from .model import LocationMatrix, SystemModel
 from .observability import DeltaGrid, _hypotheses, _stack_blocks
@@ -64,7 +65,7 @@ def _stacked_outputs(model: SystemModel, deltas, entries, k: int, x_ref, locs=No
                         _input_blocks(blocks @ model.Q_factor)], axis=2)
     Sigma = X @ X.transpose(0, 2, 1)
     Sigma.reshape(N, K1, p, K1, p)[:, range(K1), :, range(K1), :] += model.R
-    return blocks, 0.5 * (Sigma + Sigma.transpose(0, 2, 1))
+    return blocks, symmetrize(Sigma)
 
 
 def output_covariance(delta: float, loc: LocationMatrix, model: SystemModel, k: int,

@@ -135,8 +135,6 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_estimate(cfg: dict, args) -> int:
     scenario = _scenario_from_config(cfg)
-    out = _output_dir(cfg)
-
     runs = args.runs
     if runs < 1:
         raise ConfigurationError("--runs must be >= 1")
@@ -151,6 +149,7 @@ def cmd_estimate(cfg: dict, args) -> int:
         if record.truth.shape[1] != scenario.model.n:
             raise ConfigurationError("input record does not match the configured model")
         records = [record]
+    out = _output_dir(cfg)
 
     scenarios = [replace(scenario, seed=scenario.seed + i) for i in range(runs)]
     outcomes = estimate_batch(scenarios, records)

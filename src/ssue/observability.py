@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -64,34 +63,26 @@ def _rank_cutoff(shape: tuple[int, ...], sigma_max: np.ndarray) -> np.ndarray:
     return max(shape[-2:]) * np.finfo(float).eps * sigma_max
 
 
-@dataclass(frozen=True, slots=True)
-class PairFailure:
-    """One hypothesis pair that missed full combined rank at the tested horizon."""
-
-    delta_a: float
-    loc_a: int
-    delta_b: float
-    loc_b: int
-    rank: int
-    required_rank: int
-
-
 @dataclass(frozen=True)
 class ObservabilityReport:
+    """``failures`` holds one ``(delta_a, loc_a, delta_b, loc_b, rank)`` row per
+    hypothesis pair that missed ``required_rank`` (2n) at ``horizon_tested``."""
+
     horizon_tested: int
     smallest_passing_N: int | None
-    failures: tuple[PairFailure, ...]
+    required_rank: int
+    failures: tuple[tuple[float, int, float, int, int], ...]
     warnings: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
-        """JSON-ready form: one row per failing pair, its columns named once in
-        ``failure_fields``, and the pairs' ``required_rank`` (None with no failure)."""
+        """JSON-ready form: the ``failures`` rows, their columns named once in
+        ``failure_fields``, and ``required_rank`` (None with no failure)."""
         return {
             "horizon_tested": self.horizon_tested,
             "smallest_passing_N": self.smallest_passing_N,
-            "required_rank": self.failures[0].required_rank if self.failures else None,
+            "required_rank": self.required_rank if self.failures else None,
             "failure_fields": ["delta_a", "loc_a", "delta_b", "loc_b", "rank"],
-            "failures": [[f.delta_a, f.loc_a, f.delta_b, f.loc_b, f.rank] for f in self.failures],
+            "failures": self.failures,
             "warnings": list(self.warnings),
         }
 
@@ -228,10 +219,11 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid,
                 break
 
     a, b = ia[failing], ib[failing]
-    failures = tuple(map(PairFailure, deltas[a].tolist(), locs[a].tolist(), deltas[b].tolist(),
-                         locs[b].tolist(), ranks_at_K[failing].tolist(), repeat(required)))
+    failures = tuple(zip(deltas[a].tolist(), locs[a].tolist(), deltas[b].tolist(),
+                         locs[b].tolist(), ranks_at_K[failing].tolist()))
     return ObservabilityReport(horizon_tested=K, smallest_passing_N=smallest,
-                               failures=failures, warnings=tuple(warnings))
+                               required_rank=required, failures=failures,
+                               warnings=tuple(warnings))
 
 
 @dataclass(frozen=True)

@@ -274,8 +274,8 @@ def test_criterion_4_observability_rank_certificate():
     # tracking preset: linearized range C at the true initial state
     C = ssue.linearized_C(model, x_ref=scn.x0_truth)
     rep = pairwise_rank_test(model.A, C, model.locations, grid, K)
-    failing = {frozenset(((f.delta_a, f.loc_a), (f.delta_b, f.loc_b)))
-               for f in rep.failures}
+    failing = {frozenset(((delta_a, loc_a), (delta_b, loc_b)))
+               for delta_a, loc_a, delta_b, loc_b, _ in rep.failures}
     pbh = _pbh_unobservable_pairs(model.A, model.locations, grid, C)
     n_pairs = len(grid) * len(model.locations) * (len(grid) * len(model.locations) - 1) // 2
     assert len(pbh) == n_pairs, f"PBH marks only {len(pbh)} of {n_pairs} pairs unobservable"
@@ -292,13 +292,13 @@ def test_criterion_4_observability_rank_certificate():
     oracle_ok = True
     witness_dev = 0.0
     for q in sample:
-        f = rep.failures[q]
-        Oa = stack_observability(f.delta_a, model.locations[f.loc_a], model.A, C, K)
-        Ob = stack_observability(f.delta_b, model.locations[f.loc_b], model.A, C, K)
-        oracle_ok &= np.linalg.matrix_rank(np.hstack([Oa, Ob])) == f.rank
+        delta_a, loc_a, delta_b, loc_b, rank = rep.failures[q]
+        Oa = stack_observability(delta_a, model.locations[loc_a], model.A, C, K)
+        Ob = stack_observability(delta_b, model.locations[loc_b], model.A, C, K)
+        oracle_ok &= np.linalg.matrix_rank(np.hstack([Oa, Ob])) == rank
         null = np.linalg.svd(np.hstack([Oa, -Ob]))[2][-1]
         outputs = []
-        for delta, loc, x in ((f.delta_a, f.loc_a, null[:n]), (f.delta_b, f.loc_b, null[n:])):
+        for delta, loc, x in ((delta_a, loc_a, null[:n]), (delta_b, loc_b, null[n:])):
             A_var = _variant(model.A, model.locations[loc], delta)
             ys = []
             for _ in range(K + 1):

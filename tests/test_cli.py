@@ -10,7 +10,6 @@ from ssue import (
     ContractError,
     DeltaGrid,
     NumericalFailureError,
-    PairFailure,
     Scenario,
     linearized_C,
     model_from_json,
@@ -217,6 +216,19 @@ class TestEstimateCommand:
         assert "measurements of shape (6, 2)" in err and "p = 3" in err
         assert "jacobian" not in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--runs", "0"], "--runs must be >= 1"),
+        (["--input", "{record}", "--runs", "2"], "--input and --runs cannot be combined"),
+        (["--input", "{record}"], "no meta.json"),
+    ], ids=["zero_runs", "input_with_runs", "input_without_meta"])
+    def test_refused_arguments_leave_no_output_dir(self, tmp_path, capsys, flags, named):
+        (tmp_path / "record").mkdir()  # holds no meta.json
+        cfg = preset_config(tmp_path, steps=5)
+        argv = [flag.format(record=tmp_path / "record") for flag in flags]
+        assert main(["estimate", "--config", cfg, *argv]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_wins(self, tmp_path):
         cfg = preset_config(tmp_path, seed=5, steps=10)
         assert main(["estimate", "--config", cfg, "--seed", "99",
@@ -266,6 +278,25 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert named in err
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command, text, named", [
+        ("simulate", "{bad", "is not valid JSON"),
+        ("simulate", "[1, 2]", "config root must be a JSON object"),
+        ("analyze", json.dumps({"scenario": {"steps": 10}}), "analyze needs --input"),
+        ("simulate", json.dumps({"scenario": {"model": LINEAR_MODEL, "true_loc_index": 0,
+                                              "x0_truth": [1.0, 1.0], "steps": 10}}),
+         "scenario is missing field 'true_delta'"),
+    ], ids=["json_syntax", "json_root_list", "analyze_without_input", "model_without_true_delta"])
+    def test_exits_2_with_its_message(self, tmp_path, capsys, command, text, named):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert named in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUnknownConfigKeys:
@@ -530,16 +561,15 @@ class TestObservabilityCommand:
         report = json.loads((tmp_path / "out" / "observability_report.json").read_text())
         assert report["smallest_passing_N"] is None
         assert len(report["failures"]) > 0
-        # one row per failing pair, read back through the column names
+        # one row per failing pair: the JSON rows are the API's rows
         scenario = tracking_preset(steps=10, seed=1)
         model = scenario.model
         expected = pairwise_rank_test(model.A, linearized_C(model, x_ref=scenario.x0_truth),
                                       model.locations,
                                       DeltaGrid.from_domain(model.domain, points_per_interval=5), 4)
         assert report["failure_fields"] == ["delta_a", "loc_a", "delta_b", "loc_b", "rank"]
-        rows = [dict(zip(report["failure_fields"], row)) for row in report["failures"]]
-        assert tuple(PairFailure(**row, required_rank=report["required_rank"])
-                     for row in rows) == expected.failures
+        assert tuple(map(tuple, report["failures"])) == expected.failures
+        assert report["required_rank"] == expected.required_rank == 8
 
     def test_zero_grid_exits_4_with_warnings(self, tmp_path):
         model = json.loads(json.dumps(LINEAR_MODEL))

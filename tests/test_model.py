@@ -135,6 +135,36 @@ class TestLocationTypes:
         assert d.hull() == (-0.2, 0.3)
 
 
+def with_measurement(model, spec):
+    """``model`` read back from its JSON with ``spec`` as its measurement."""
+    doc = json.loads(model_to_json(model))
+    doc["measurement"] = spec
+    return model_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda model: LocationSet(()), "location set must contain at least one matrix"),
+    (lambda model: LocationSet((LocationMatrix(np.eye(2)), LocationMatrix(np.eye(3)))),
+     "all location matrices must share one dimension"),
+    (lambda model: LocationMatrix(np.ones((2, 3))), r"location matrix must be square, got \(2, 3\)"),
+    (lambda model: UncertaintyDomain(()), "uncertainty domain needs at least one interval"),
+    (lambda model: model_to_json(dataclasses.replace(model, measurement_spec=None)),
+     "model carries no measurement spec"),
+    (lambda model: model_from_json("{bad"), "model JSON is not valid JSON"),
+    (lambda model: with_measurement(model, {"type": "sonar"}), "unknown measurement type 'sonar'"),
+    (lambda model: with_measurement(model, {"type": "linear", "C": [[1.0, 0.0, 0.0]]}),
+     "measurement C has 3 columns, state dim is 4"),
+    (lambda model: dataclasses.replace(model, A=np.ones((3, 4))), r"A must be square, got \(3, 4\)"),
+    (lambda model: dataclasses.replace(model, R=np.eye(2)),
+     "R must be 3x3 to match the measurement map"),
+], ids=["empty_location_set", "mixed_location_sizes", "non_square_location", "empty_domain",
+        "to_json_without_spec", "json_syntax", "sonar_measurement", "C_columns", "A_not_square",
+        "R_size"])
+def test_configuration_error_names_its_field(tracking_scenario, build, named):
+    with pytest.raises(ConfigurationError, match=named):
+        build(tracking_scenario.model)
+
+
 class TestModelCovariances:
     """SystemModel accepts symmetric PSD Q, R and P0 and refuses anything else by name."""
 

@@ -127,6 +127,7 @@ class TestPairwiseRankTest:
         report = pairwise_rank_test(A, C, locations, DeltaGrid(values=[-0.1]), K=2)
         assert report.smallest_passing_N == 1
         assert report.failures == ()
+        assert report.required_rank == 4
         assert report.warnings == ()
 
     def test_zero_delta_grid_fails_at_every_k_with_warnings(self):
@@ -134,8 +135,9 @@ class TestPairwiseRankTest:
         report = pairwise_rank_test(A, C, locations, DeltaGrid(values=[0.0]), K=3)
         assert report.smallest_passing_N is None
         assert len(report.failures) == 1
-        assert report.failures[0].rank == 2  # both hypotheses share one rank-2 stack
-        assert report.failures[0].required_rank == 4
+        *_, rank = report.failures[0]
+        assert rank == 2  # both hypotheses share one rank-2 stack
+        assert report.required_rank == 4
         assert len(report.warnings) == 1
 
     def test_rank_symmetric_in_pair_order(self, rng):
@@ -178,8 +180,8 @@ class TestPairwiseRankTest:
                     rank = np.linalg.matrix_rank(np.hstack([Oa, Ob]))
                     if rank < 2 * A.shape[0]:
                         failing[(hyps[a], hyps[b])] = rank
-            got = {((f.delta_a, f.loc_a), (f.delta_b, f.loc_b)): f.rank
-                   for f in report.failures}
+            got = {((delta_a, loc_a), (delta_b, loc_b)): rank
+                   for delta_a, loc_a, delta_b, loc_b, rank in report.failures}
             assert got == failing
             assert failing and report.smallest_passing_N is None
         assert len(failing) < len(hyps) * (len(hyps) - 1) // 2  # some pairs pass
@@ -218,10 +220,10 @@ class TestPairwiseRankTest:
         C = np.array([[1.0, 0.0]])
         report = pairwise_rank_test(A, C, locations, DeltaGrid(values=[-0.1]), K=1)
         assert report.smallest_passing_N is None
-        for f in report.failures:
-            Oa = stack_observability(f.delta_a, locations[f.loc_a], A, C, 1)
-            Ob = stack_observability(f.delta_b, locations[f.loc_b], A, C, 1)
-            assert f.rank == np.linalg.matrix_rank(np.hstack([Oa, Ob]))
+        for delta_a, loc_a, delta_b, loc_b, rank in report.failures:
+            Oa = stack_observability(delta_a, locations[loc_a], A, C, 1)
+            Ob = stack_observability(delta_b, locations[loc_b], A, C, 1)
+            assert rank == np.linalg.matrix_rank(np.hstack([Oa, Ob]))
 
 
 # 31 grid points x 3 locations: 93 hypotheses, 4278 pairs
@@ -255,7 +257,8 @@ class TestChunkedRanks:
         args, oracle = preset_case
         report = pairwise_rank_test(*args, K=10)
         assert len(oracle) == 4278 and all(rank < 8 for *_, rank in oracle)
-        got = [((f.delta_a, f.loc_a), (f.delta_b, f.loc_b), f.rank) for f in report.failures]
+        got = [((delta_a, loc_a), (delta_b, loc_b), rank)
+               for delta_a, loc_a, delta_b, loc_b, rank in report.failures]
         assert got == oracle  # same ranks, same order
         assert report.smallest_passing_N is None
 
