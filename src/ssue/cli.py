@@ -224,10 +224,14 @@ def cmd_analyze(cfg: dict, args) -> int:
     if record.log_lambdas is None or record.scenario is None:
         raise ConfigurationError(
             f"record {args.input} has no stored likelihoods; run `ssue estimate` first")
-    out = _output_dir(cfg)
     scenario = record.scenario
     model = scenario.model
     M = model.M
+    if horizon < 0:
+        raise ConfigurationError("'analysis.horizon' must be >= 0")
+    if pairs is not None and not all(0 <= v < M for pair in pairs for v in pair):
+        raise ConfigurationError(f"'analysis.ratio_pairs' indices must lie in [0, {M})")
+    out = _output_dir(cfg)
 
     grid = DeltaGrid(values=np.array([scenario.true_delta]))
     D = kl_separation(model, grid, horizon, x_ref=scenario.x0_truth)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -22,6 +23,49 @@ from ssue import (
     stack_observability,
     tracking_preset,
 )
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def random_linear_model(n, p, seed):
+    """A seeded linear model with 2-3 random locations, rank-deficient Q and P0
+    and a positive definite R."""
+    rng = np.random.default_rng(seed)
+    A = 0.9 * rng.normal(size=(n, n)) / np.sqrt(n)
+    cells = rng.choice(n * n, size=int(rng.integers(2, 4)), replace=False)
+    locations = LocationSet(tuple(LocationMatrix(np.eye(n * n)[c].reshape(n, n))
+                                  for c in cells))
+    F = rng.normal(size=(n, n - 1))
+    G = rng.normal(size=(n, 1))
+    V = rng.normal(size=(p, p))
+    return SystemModel(A=A, locations=locations, domain=UncertaintyDomain(((-0.3, 0.3),)),
+                       Q=0.1 * F @ F.T, R=V @ V.T + 0.5 * np.eye(p), P0=G @ G.T,
+                       map=linear_map(rng.normal(size=(p, n))))
+
+
+def dense_kl_oracle(model, grid, k):
+    """Pairwise KL from each dense Sigma_k = [O I_k] Omega [O I_k]^T + I (x) R, with
+    O and I_k built from matrix powers, via slogdet and solve."""
+    n, C = model.n, linearized_C(model, np.zeros(model.n))
+    Omega = np.kron(np.eye(k + 1), model.Q)
+    Omega[:n, :n] = model.P0
+    sigmas = []
+    for d in grid.values:
+        for loc in model.locations:
+            A = model.A + d * loc.entries
+            power = [C @ np.linalg.matrix_power(A, j) for j in range(k + 1)]
+            Pi = np.zeros(((k + 1) * model.p, (k + 1) * n))
+            for i in range(k + 1):
+                Pi[i * model.p:(i + 1) * model.p, :n] = power[i]
+                for j in range(i):  # w_j reaches y_i through C A^(i-j-1)
+                    Pi[i * model.p:(i + 1) * model.p, (j + 1) * n:(j + 2) * n] = power[i - j - 1]
+            sigmas.append(Pi @ Omega @ Pi.T + np.kron(np.eye(k + 1), model.R))
+    log_dets = [np.linalg.slogdet(S)[1] for S in sigmas]
+    m = sigmas[0].shape[0]
+    return np.array([[0.5 * (np.trace(np.linalg.solve(Si, St)) - m + ldi - ldt)
+                      for Si, ldi in zip(sigmas, log_dets)]
+                     for St, ldt in zip(sigmas, log_dets)])
 
 
 def input_matrix(delta, loc, A, C, k):
@@ -249,8 +293,11 @@ class TestKlSeparation:
         }))
         model = dataclasses.replace(model, Q=np.zeros((2, 2)), R=np.zeros((1, 1)))
         assert kl_separation(model, DeltaGrid(values=[-0.1, 0.05]), 1).shape == (2, 2)
-        with pytest.raises(ContractError, match="hypothesis 1 "):
+        with pytest.raises(ContractError, match="hypothesis 1 ") as info:
             kl_separation(model, DeltaGrid(values=[-0.1, 0.0]), 1)
+        assert info.value.context == {"hypothesis": 1, "step": 1}
+        with pytest.raises(ContractError, match="positive definite"):  # the same pass
+            output_covariance(0.0, model.locations[0], model, 1)
 
     def test_tracking_true_vs_wrong_strictly_positive(self, tracking_scenario):
         model = tracking_scenario.model
@@ -260,6 +307,28 @@ class TestKlSeparation:
         for i in (0, 2):
             assert D[t, i] > 1e-6
             assert D[i, t] > 1e-6
+
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (2, 3, 5) for p in (1, 2, 3)])
+    def test_matches_dense_oracle_on_random_models(self, n, p, k):
+        model = random_linear_model(n, p, seed=100 * n + p)
+        grid = DeltaGrid(values=[-0.3, -0.1, 0.2])
+        D = kl_separation(model, grid, k, x_ref=np.zeros(n))
+        oracle = dense_kl_oracle(model, grid, k)
+        off = ~np.eye(len(D), dtype=bool)
+        npt.assert_array_equal(np.diag(D), 0.0)
+        # KL is a difference of O(m) terms, so an entry near 0 (every entry at
+        # k = 0, some near 1e-8 at k = 1) keeps ~1e-15 of rounding in any method
+        npt.assert_allclose(D[off], oracle[off], rtol=1e-10, atol=1e-14)
+
+    def test_benchmark_reference_matrix(self):
+        # the geometry and tolerances of the benchmark's KL check: the preset,
+        # a 21-point grid over its domain, horizon 20, x_ref = x0_truth
+        scenario = tracking_preset()
+        grid = DeltaGrid.from_domain(scenario.model.domain, points_per_interval=21)
+        D = kl_separation(scenario.model, grid, 20, x_ref=scenario.x0_truth)
+        reference = np.array(json.loads(REFERENCE.read_text())["kl_matrix"])
+        npt.assert_allclose(D, reference, rtol=1e-8, atol=1e-10)
 
     @pytest.mark.parametrize("a2", [0.5, -0.5])
     def test_identical_sigma_not_identical_hypothesis_reads_zero(self, a2, count_linalg):
@@ -276,13 +345,17 @@ class TestKlSeparation:
         k, x_ref = 4, np.zeros(2)
         _, shapes = count_linalg()
         D = kl_separation(model, grid, k, x_ref=x_ref)
-        # one Sigma_k for location 0, four for location 1
-        assert shapes == [("cholesky", (5, k + 1, k + 1)), ("inv", (5, k + 1, k + 1))]
+        # no m x m factorization: one (8, p, p) cholesky and inverse per step
+        assert shapes == [("cholesky", (8, 1, 1)), ("inv", (8, 1, 1))] * (k + 1)
         sigmas = [output_covariance(d, model.locations[i], model, k, x_ref=x_ref).Sigma_k
                   for d in grid.values for i in range(model.M)]
         unobservable = np.arange(0, 8, 2)
         for q in unobservable[1:]:
+            # one Sigma_k for location 0, four for location 1; every hypothesis of
+            # location 0 reads its row and column from one representative
             npt.assert_array_equal(sigmas[q], sigmas[0])
+            npt.assert_array_equal(D[q], D[0])
+            npt.assert_array_equal(D[:, q], D[:, 0])
         same = np.zeros((8, 8), dtype=bool)
         same[np.ix_(unobservable, unobservable)] = True
         npt.assert_array_equal(D[same], 0.0)  # 12 ordered pairs and their diagonal
@@ -300,8 +373,13 @@ class TestKlSeparation:
         D = kl_separation(model, DeltaGrid(values=[-0.05, 0.0]), k,
                           x_ref=tracking_scenario.x0_truth)
         assert D.shape == (6, 6)
-        m = (k + 1) * model.p
-        assert shapes == [("cholesky", (4, m, m)), ("inv", (4, m, m))]
+        # Sigma_k itself is never factorized: one (6, p, p) cholesky and inverse
+        # of the innovation covariances per step
+        p = model.p
+        assert shapes == [("cholesky", (6, p, p)), ("inv", (6, p, p))] * (k + 1)
+        for q in (4, 5):  # the delta = 0 hypotheses read one representative's row
+            npt.assert_array_equal(D[q], D[3])
+            npt.assert_array_equal(D[:, q], D[:, 3])
 
 
 class TestLogLikRatioTrajectory:

@@ -631,6 +631,21 @@ class TestAnalyzeCommand:
         lines = (tmp_path / "ana2" / "loglik_ratio_A2_vs_A2.csv").read_text().strip().splitlines()
         assert all(float(line.split(",")[1]) == 0.0 for line in lines[1:])
 
+    @pytest.mark.parametrize("analysis, named", [
+        ({"horizon": -1}, "'analysis.horizon' must be >= 0"),
+        ({"ratio_pairs": [[0, 1], [0, 7]]}, "'analysis.ratio_pairs' indices must lie in [0, 3)"),
+        ({"ratio_pairs": [[-1, 0]]}, "'analysis.ratio_pairs' indices must lie in [0, 3)"),
+    ], ids=["negative_horizon", "pair_past_M", "negative_pair_index"])
+    def test_refused_options_leave_no_output_dir(self, tmp_path, capsys, analysis, named):
+        cfg = preset_config(tmp_path, out="rec", seed=3, steps=5)
+        assert main(["estimate", "--config", cfg]) == 0
+        cfg2 = write_config(tmp_path, {"analysis": analysis, "output_dir": str(tmp_path / "ana")},
+                            name="ana.json")
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfg2, "--input", str(tmp_path / "rec")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "ana").exists()
+
     def test_missing_record_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "ana")})
         assert main(["analyze", "--config", cfg, "--input", str(tmp_path / "nope")]) == 2
