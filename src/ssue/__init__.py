@@ -8,7 +8,6 @@ consistency diagnostics and a seeded tracking simulation harness.
 
 from .analysis import (
     StackedOutputModel,
-    gaussian_kl,
     kl_separation,
     linearized_C,
     loglik_ratio_trajectory,

@@ -131,32 +131,6 @@ def output_covariance(delta: float, loc: LocationMatrix, model: SystemModel, k: 
     return StackedOutputModel(I_k=_input_blocks(blocks)[0], Sigma_k=Sigma[0])
 
 
-def _chol_or_contract(Sigma: np.ndarray, name: str) -> np.ndarray:
-    Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-        raise ContractError(f"{name} must be a square matrix")
-    try:
-        return np.linalg.cholesky(Sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ContractError(f"{name} must be positive definite") from exc
-
-
-def gaussian_kl(Sigma_t, Sigma_i) -> float:
-    """KL divergence D(N(0, Sigma_t) || N(0, Sigma_i)) via Cholesky log-determinants."""
-    Sigma_t = np.asarray(Sigma_t, dtype=float)
-    Sigma_i = np.asarray(Sigma_i, dtype=float)
-    if Sigma_t.shape != Sigma_i.shape:
-        raise ContractError("covariances must share one dimension")
-    L_t = _chol_or_contract(Sigma_t, "Sigma_t")
-    L_i = _chol_or_contract(Sigma_i, "Sigma_i")
-    m = Sigma_t.shape[0]
-    W = np.linalg.solve(L_i, L_t)
-    trace = float(np.sum(W * W))
-    log_det_t = 2.0 * float(np.sum(np.log(np.diag(L_t))))
-    log_det_i = 2.0 * float(np.sum(np.log(np.diag(L_i))))
-    return 0.5 * (trace - m + log_det_i - log_det_t)
-
-
 def kl_separation(model: SystemModel, grid: DeltaGrid, k: int, x_ref=None) -> np.ndarray:
     """Matrix of pairwise KL divergences between all (delta, location) hypotheses.
 
@@ -179,9 +153,10 @@ def kl_separation(model: SystemModel, grid: DeltaGrid, k: int, x_ref=None) -> np
     group = np.array([first.setdefault(s.tobytes(), len(first)) for s in sigmas])
     del first  # its keys copy every Sigma_k: free them before the products
     rep = np.unique(group, return_index=True)[1]
-    W, log_dets = W[rep], log_dets[rep]
+    if rep.size < group.size:  # keep one hypothesis per distinct Sigma_k
+        sigmas, W, log_dets = sigmas[rep], W[rep], log_dets[rep]
     inv = W.transpose(0, 2, 1) @ W
-    D = 0.5 * (sigmas[rep].reshape(len(rep), -1) @ inv.reshape(len(rep), -1).T - m
+    D = 0.5 * (sigmas.reshape(rep.size, -1) @ inv.reshape(rep.size, -1).T - m
                + log_dets[None, :] - log_dets[:, None])
     np.fill_diagonal(D, 0.0)
     return np.maximum(D, 0.0)[group[:, None], group[None, :]]

@@ -18,7 +18,9 @@ import numpy as np
 from .errors import ContractError, ExcitationError, NoMatchError, NumericalFailureError
 from .model import LocationMatrix, LocationSet, UncertaintyDomain
 
-_SVD_CHUNK = 8192  # pairs in memory at once, over all rank-test threads
+# Pairs ranked at once over all rank-test threads; their side-by-side matrices
+# share one buffer per call (4.3 MB for the preset at K=10).
+_SVD_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -150,26 +152,35 @@ def _pair_ranks(stacks: np.ndarray, ia, ib) -> np.ndarray:
     """Numerical ranks of [stacks[a], stacks[b]] for each pair, via singular
     values.
 
-    The pairs go in chunks to one thread per CPU (numpy's SVD releases the
-    GIL).  Each chunk is _SVD_CHUNK // CPUs pairs, so at most _SVD_CHUNK
-    pairs are in memory at once; every matrix's singular values come from
-    its own LAPACK call, so the ranks do not depend on the chunking.
+    The pairs go in chunks to at most one thread per CPU (numpy's SVD
+    releases the GIL), _SVD_CHUNK pairs over all threads.  The side-by-side
+    matrices live in one buffer allocated here, one slice per thread, which
+    each thread refills for each of its chunks; every matrix's singular
+    values come from its own LAPACK call, so the ranks do not depend on the
+    chunking.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, not at import: ~5 ms of setup
 
-    cpus = _cpu_count()
-    size = max(1, _SVD_CHUNK // cpus)
+    stacks = np.ascontiguousarray(stacks)  # np.take would copy a strided source per chunk
+    _, rows, n = stacks.shape
+    threads = max(1, min(_cpu_count(), _SVD_CHUNK))
+    size = _SVD_CHUNK // threads
     starts = range(0, ia.size, size)
+    workers = max(1, min(threads, len(starts)))
+    X = np.empty((workers, min(size, ia.size), rows, 2 * n))
     ranks = np.empty(ia.size, dtype=int)
 
-    def rank_chunk(start):
-        part = slice(start, start + size)
-        X = np.concatenate([stacks[ia[part]], stacks[ib[part]]], axis=2)
-        sv = np.linalg.svd(X, compute_uv=False)
-        ranks[part] = (sv > _rank_cutoff(X.shape, sv[:, :1])).sum(axis=1)
+    def rank_chunks(w):
+        for start in starts[w::workers]:
+            part = slice(start, start + size)
+            Xw = X[w, :ranks[part].size]  # the last chunk may be short
+            np.take(stacks, ia[part], axis=0, out=Xw[..., :n])
+            np.take(stacks, ib[part], axis=0, out=Xw[..., n:])
+            sv = np.linalg.svd(Xw, compute_uv=False)
+            ranks[part] = (sv > _rank_cutoff(Xw.shape, sv[:, :1])).sum(axis=1)
 
-    with ThreadPoolExecutor(max(1, min(cpus, len(starts)))) as pool:
-        list(pool.map(rank_chunk, starts))  # re-raises a chunk's exception here
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(rank_chunks, range(workers)))  # re-raises a thread's exception here
     return ranks
 
 
@@ -183,11 +194,11 @@ def pairwise_rank_test(A, C, locations: LocationSet, grid: DeltaGrid,
     k = 1..K-1 ascending, retesting just the pairs that have not passed yet
     (rank is non-decreasing in k).
 
-    Ranks are computed in chunks of pairs on one thread per CPU, with at most
-    ``_SVD_CHUNK`` pairs in memory at once; ranks, failure order and
-    ``smallest_passing_N`` do not depend on the thread count.  Non-finite
-    inputs and overflowing powers raise on the caller's thread before any
-    worker starts.
+    Ranks are computed in chunks of pairs on one thread per CPU, at most
+    ``_SVD_CHUNK`` pairs over all threads in one reused buffer; ranks, failure
+    order and ``smallest_passing_N`` do not depend on the chunking or the
+    thread count.  Non-finite inputs and overflowing powers raise on the
+    caller's thread before any worker starts.
     """
     if K < 1:
         raise ContractError("horizon K must be >= 1")

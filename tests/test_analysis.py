@@ -13,7 +13,6 @@ from ssue import (
     LocationSet,
     SystemModel,
     UncertaintyDomain,
-    gaussian_kl,
     kl_separation,
     linear_map,
     linearized_C,
@@ -66,6 +65,18 @@ def dense_kl_oracle(model, grid, k):
     return np.array([[0.5 * (np.trace(np.linalg.solve(Si, St)) - m + ldi - ldt)
                       for Si, ldi in zip(sigmas, log_dets)]
                      for St, ldt in zip(sigmas, log_dets)])
+
+
+def gaussian_kl(Sigma_t, Sigma_i) -> float:
+    """Oracle: D(N(0, Sigma_t) || N(0, Sigma_i)) from the Cholesky factors of
+    both covariances; one that is not positive definite is a ContractError."""
+    try:
+        L_t, L_i = (np.linalg.cholesky(np.asarray(S, dtype=float)) for S in (Sigma_t, Sigma_i))
+    except np.linalg.LinAlgError as exc:
+        raise ContractError("covariances must be positive definite") from exc
+    W = np.linalg.solve(L_i, L_t)
+    log_dets = [2.0 * np.sum(np.log(np.diag(L))) for L in (L_t, L_i)]
+    return 0.5 * (float(np.sum(W * W)) - len(L_t) + log_dets[1] - log_dets[0])
 
 
 def input_matrix(delta, loc, A, C, k):
@@ -222,6 +233,8 @@ class TestOutputCovariance:
 
 
 class TestGaussianKl:
+    """The Cholesky oracle that TestKlSeparation compares against."""
+
     def test_identical_is_zero(self, rng):
         W = rng.normal(size=(4, 4))
         S = W @ W.T + np.eye(4)

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -250,10 +251,16 @@ class TestChunkedRanks:
     """The pairs are ranked in chunks on one thread per CPU; the report must
     not depend on the chunking or the thread count."""
 
-    @pytest.mark.parametrize("cpus", [None, 1, 2, 3], ids=["platform", "1cpu", "2cpu", "3cpu"])
-    def test_failures_match_per_pair_oracle(self, preset_case, monkeypatch, cpus):
+    # 4278 pairs: every chunking leaves a short last chunk; 8192 pairs on one
+    # thread is one chunk smaller than the buffer, and 2 pairs over 3 CPUs
+    # rank one pair at a time on two threads
+    @pytest.mark.parametrize("cpus, chunk", [(None, None), (1, 1000), (2, 1000), (3, 1000),
+                                             (2, 4096), (1, 8192), (3, 2)],
+                             ids=["platform", "1cpu", "2cpu", "3cpu", "2cpu-4096",
+                                  "1cpu-8192", "3cpu-2"])
+    def test_failures_match_per_pair_oracle(self, preset_case, monkeypatch, cpus, chunk):
         if cpus is not None:
-            split_chunks(monkeypatch, cpus)
+            split_chunks(monkeypatch, cpus, chunk)
         args, oracle = preset_case
         report = pairwise_rank_test(*args, K=10)
         assert len(oracle) == 4278 and all(rank < 8 for *_, rank in oracle)
@@ -280,9 +287,12 @@ class TestChunkedRanks:
         pairwise_rank_test(*preset_case[0], K=10)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
-    def test_at_most_svd_chunk_pairs_ranked_at_once(self, preset_case, monkeypatch, cpus):
-        split_chunks(monkeypatch, cpus)
+    @pytest.mark.parametrize("cpus, chunk", [(1, 1000), (2, 1000), (3, 1000), (5, 1000), (5, 3)],
+                             ids=["1", "2", "3", "5", "5cpu-3"])
+    def test_at_most_svd_chunk_pairs_ranked_at_once(self, preset_case, monkeypatch, cpus, chunk):
+        """At most _SVD_CHUNK pairs are in flight over all threads, also when
+        _SVD_CHUNK is smaller than the CPU count."""
+        split_chunks(monkeypatch, cpus, chunk)
         svd, lock = np.linalg.svd, threading.Lock()
         live, peak = [0], [0]
 
@@ -298,7 +308,24 @@ class TestChunkedRanks:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         pairwise_rank_test(*preset_case[0], K=10)
-        assert 0 < peak[0] <= 1000
+        assert 0 < peak[0] <= chunk
+
+    def test_default_grid_peak_memory(self):
+        """One rank test of the preset on the default grid (101 points, K=10,
+        45,753 failing pairs) peaks at 16 MB traced, its 6.5 MB report included:
+        the pairs' matrices share one reused buffer of _SVD_CHUNK pairs."""
+        scn = tracking_preset()
+        model = scn.model
+        args = (model.A, linearized_C(model, x_ref=scn.x0_truth), model.locations,
+                DeltaGrid.from_domain(model.domain))
+        tracemalloc.start()
+        try:
+            report = pairwise_rank_test(*args, K=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.failures) == 45753
+        assert peak <= 16e6
 
     def test_exception_in_a_chunk_surfaces_unchanged(self, preset_case, monkeypatch):
         split_chunks(monkeypatch, 2)
