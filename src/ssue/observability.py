@@ -163,7 +163,7 @@ def _pair_ranks(stacks: np.ndarray, ia, ib) -> np.ndarray:
 
     stacks = np.ascontiguousarray(stacks)  # np.take would copy a strided source per chunk
     _, rows, n = stacks.shape
-    threads = max(1, min(_cpu_count(), _SVD_CHUNK))
+    threads = min(_cpu_count(), _SVD_CHUNK)
     size = _SVD_CHUNK // threads
     starts = range(0, ia.size, size)
     workers = max(1, min(threads, len(starts)))

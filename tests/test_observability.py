@@ -251,9 +251,9 @@ class TestChunkedRanks:
     """The pairs are ranked in chunks on one thread per CPU; the report must
     not depend on the chunking or the thread count."""
 
-    # 4278 pairs: every chunking leaves a short last chunk; 8192 pairs on one
-    # thread is one chunk smaller than the buffer, and 2 pairs over 3 CPUs
-    # rank one pair at a time on two threads
+    # 4278 pairs: every chunking leaves a short last chunk (at 4096 over 2 CPUs
+    # it refills a slice a full chunk used); 8192 on one CPU is one chunk of all
+    # pairs, and 2 over 3 CPUs ranks one pair at a time on two threads
     @pytest.mark.parametrize("cpus, chunk", [(None, None), (1, 1000), (2, 1000), (3, 1000),
                                              (2, 4096), (1, 8192), (3, 2)],
                              ids=["platform", "1cpu", "2cpu", "3cpu", "2cpu-4096",
